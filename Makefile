@@ -17,7 +17,7 @@ PROFILE_DIR ?= /tmp/pgss-profile
 # Benchmarks `make profile` runs under the profiler.
 PROFILE_BENCH ?= BenchmarkAblation
 
-.PHONY: build test vet fmt-check lint lint-custom lint-fix vuln race bench bench-json bench-check profile cover fuzz-smoke validate chaos-smoke ci clean
+.PHONY: build test vet fmt-check lint lint-custom lint-fix vuln race bench bench-json bench-check profile cover fuzz-smoke validate chaos-smoke bench-smoke loc ci clean
 
 build:
 	$(GO) build ./...
@@ -136,7 +136,20 @@ validate:
 chaos-smoke:
 	$(GO) run ./cmd/pgss-chaos -seeds 10 -seed 100
 
-ci: build vet fmt-check lint test race validate chaos-smoke
+# The benchmark/ harness is its own Go module (it builds against this one
+# through a replace directive), so the root `go test ./...` never compiles
+# it. Vet and test it here so a refactor of the packages it imports cannot
+# break it unnoticed.
+bench-smoke:
+	cd benchmark && GOFLAGS=-buildvcs=false $(GO) vet ./... && GOFLAGS=-buildvcs=false $(GO) test ./...
+
+# Non-test Go lines outside testdata/ and the benchmark/ module: the code
+# size figure recorded per change in CHANGES.md.
+loc:
+	@find . \( -path ./benchmark -o -name testdata -o -name '.?*' \) -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
+
+ci: build vet fmt-check lint test race validate chaos-smoke bench-smoke
 
 clean:
 	$(GO) clean ./...

@@ -4,11 +4,15 @@
 //
 // Usage:
 //
-//	pgss-artifacts -root .pgss-artifacts ls            # list artifacts
-//	pgss-artifacts -root .pgss-artifacts verify        # audit + repair
-//	pgss-artifacts -root .pgss-artifacts gc -max 256MB # LRU-evict to a budget
-//	pgss-artifacts -root .pgss-artifacts pin <hash>    # protect from GC
-//	pgss-artifacts -root .pgss-artifacts unpin <hash>
+//	pgss-artifacts ls                  # list artifacts
+//	pgss-artifacts verify              # audit + repair
+//	pgss-artifacts gc -max 256MB       # LRU-evict to a budget
+//	pgss-artifacts pin <hash>          # protect from GC
+//	pgss-artifacts unpin <hash>
+//	pgss-artifacts -root DIR ls        # a store other than the default
+//
+// The default root is the one pgss-bench uses: pgss-artifacts under the
+// user cache directory.
 //
 // The exit code is 0 on success; verify exits 1 when it had to repair
 // anything (so CI can flag a store that keeps rotting).
@@ -25,7 +29,7 @@ import (
 )
 
 func main() {
-	root := flag.String("root", ".pgss-artifacts", "artifact store root directory")
+	root := flag.String("root", artifact.DefaultRoot(), "artifact store root directory")
 	verbose := flag.Bool("v", false, "print store diagnostics")
 	flag.Usage = usage
 	flag.Parse()

@@ -5,7 +5,8 @@
 //
 //	pgss-bench -fig all                    # every figure, default size
 //	pgss-bench -fig 12 -size 1.0           # Fig 12 at full benchmark size
-//	pgss-bench -fig 2,3 -cache /tmp/pgss    # cache profiles between runs
+//	pgss-bench -fig 2,3 -artifacts DIR     # store artifacts under DIR
+//	pgss-bench -fig 2,3 -artifacts ''      # no store: record every run
 //
 //	pgss-bench -campaign all -seeds 3 -jobs 8      # full campaign grid
 //	pgss-bench -campaign PGSS,SMARTS -timeout 10m  # per-run time budget
@@ -14,8 +15,11 @@
 // Figure IDs follow the paper: 2, 3, 7, 8, 9, 10, 11, 12, 13; the named
 // experiments ablation, coverage and extensions go beyond it.
 //
+// Recorded profiles and checkpoint libraries live in the artifact store,
+// by default the per-user one that pgss-artifacts manages.
+//
 // A campaign journals every finished run to a JSONL file (-journal, by
-// default campaign.jsonl under the cache directory), so a killed or
+// default campaign.jsonl under the store root), so a killed or
 // interrupted campaign re-invoked with -resume skips completed runs.
 // SIGINT drains in-flight runs, journals them and exits with the partial
 // results and an error summary.
@@ -34,6 +38,7 @@ import (
 	"syscall"
 	"time"
 
+	"pgss/internal/artifact"
 	"pgss/internal/campaign"
 	"pgss/internal/experiments"
 )
@@ -43,8 +48,7 @@ func main() {
 	size := flag.Float64("size", 1.0, "benchmark length factor relative to defaults")
 	ops := flag.Uint64("ops", 0, "override per-benchmark op count (0 = defaults × size)")
 	scale := flag.Uint64("scale", 10, "parameter scale divisor vs the paper's SPEC-scale values")
-	cache := flag.String("cache", defaultCacheDir(), "profile cache directory ('' disables)")
-	artifacts := flag.String("artifacts", "", "content-addressed artifact store root shared across runs and processes ('' disables; supersedes -cache)")
+	artifacts := flag.String("artifacts", artifact.DefaultRoot(), "content-addressed artifact store root shared across runs and processes ('' disables)")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	csvDir := flag.String("csv", "", "also write every table as CSV into this directory")
 	camp := flag.String("campaign", "", "run a campaign of the given techniques ('all' or comma-separated) instead of figures")
@@ -54,7 +58,7 @@ func main() {
 	sampleWorkers := flag.Int("sample-workers", 0, "PGSS runs: concurrent detailed-sample workers per run (0/1 = serial engine)")
 	timeout := flag.Duration("timeout", 0, "campaign: per-run time budget (0 = unbounded)")
 	retries := flag.Int("retries", 2, "campaign: max attempts per run for retryable failures")
-	journal := flag.String("journal", "", "campaign: journal path (default campaign.jsonl under the cache dir)")
+	journal := flag.String("journal", "", "campaign: journal path (default campaign.jsonl under the store root)")
 	resume := flag.Bool("resume", false, "campaign: skip runs already journaled as done")
 	flag.Parse()
 
@@ -67,7 +71,6 @@ func main() {
 	opts.Scale = *scale
 	opts.SizeFactor = *size
 	opts.TotalOps = *ops
-	opts.CacheDir = *cache
 	opts.ArtifactDir = *artifacts
 	opts.Quiet = *quiet
 	opts.Jobs = *jobs
@@ -92,7 +95,7 @@ func main() {
 			timeout:     *timeout,
 			retries:     *retries,
 			journal:     *journal,
-			cacheDir:    *cache,
+			storeRoot:   *artifacts,
 			resume:      *resume,
 			quiet:       *quiet,
 		})
@@ -144,7 +147,7 @@ type campaignConfig struct {
 	timeout     time.Duration
 	retries     int
 	journal     string
-	cacheDir    string
+	storeRoot   string
 	resume      bool
 	quiet       bool
 }
@@ -156,8 +159,8 @@ func runCampaign(ctx context.Context, suite *experiments.Suite, cfg campaignConf
 	}
 	journal := cfg.journal
 	if journal == "" {
-		if cfg.cacheDir != "" {
-			journal = filepath.Join(cfg.cacheDir, "campaign.jsonl")
+		if cfg.storeRoot != "" {
+			journal = filepath.Join(cfg.storeRoot, "campaign.jsonl")
 		} else {
 			journal = "campaign.jsonl"
 		}
@@ -237,13 +240,6 @@ func trimAll(in []string) []string {
 		}
 	}
 	return out
-}
-
-func defaultCacheDir() string {
-	if dir, err := os.UserCacheDir(); err == nil {
-		return dir + "/pgss-profiles"
-	}
-	return ""
 }
 
 func fatal(err error) {

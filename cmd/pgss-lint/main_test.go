@@ -74,12 +74,11 @@ func TestListAnalyzers(t *testing.T) {
 	}
 	out := readOut()
 	all := []string{
-		"nodeterminism", "maporder", "errwrap", "ctxflow", "mutexcopy",
-		"goroutines", "ioatomic", "lockorder", "leaktrack", "fpdeterminism",
+		"nodeterminism", "maporder", "errwrap", "ctxflow", "goroutines", "ioatomic", "lockorder", "leaktrack", "fpdeterminism",
 		"exhaustive",
 	}
-	if len(all) != 11 {
-		t.Fatalf("suite should list 11 analyzers, test names %d", len(all))
+	if len(all) != 10 {
+		t.Fatalf("suite should list 10 analyzers, test names %d", len(all))
 	}
 	for _, name := range all {
 		if !strings.Contains(out, name) {

@@ -1,11 +1,14 @@
-// Command pgss-phase analyses the phase structure of a benchmark: it
+// Command pgss-phase inspects a synthetic benchmark and analyses its phase
+// structure: it builds the benchmark, records its detailed profile, prints
+// the build, recording, cache/branch and interval-IPC statistics, then
 // classifies the BBV stream at a chosen granularity and threshold and
 // prints the phase table, transition statistics and the threshold-sweep
 // characteristics of Fig 10.
 //
 // Usage:
 //
-//	pgss-phase -bench 300.twolf [-ops N] [-gran 10000] [-threshold 0.05]
+//	pgss-phase -list
+//	pgss-phase -bench 300.twolf [-ops N] [-gran 10000] [-threshold 0.05] [-series]
 //	pgss-phase -bench 300.twolf -sweep
 package main
 
@@ -15,32 +18,51 @@ import (
 	"math"
 	"os"
 	"sort"
+	"time"
 
-	"pgss"
 	"pgss/internal/bbv"
+	"pgss/internal/cpu"
 	"pgss/internal/phase"
+	"pgss/internal/profile"
 	"pgss/internal/stats"
+	"pgss/internal/workload"
 )
 
 func main() {
+	list := flag.Bool("list", false, "list available benchmarks")
 	bench := flag.String("bench", "300.twolf", "benchmark name")
 	ops := flag.Uint64("ops", 0, "program length in ops (0 = benchmark default)")
 	gran := flag.Uint64("gran", 10_000, "BBV window granularity in ops")
 	threshold := flag.Float64("threshold", 0.05, "BBV angle threshold (fraction of π)")
 	sweep := flag.Bool("sweep", false, "sweep thresholds 0..0.5π (Fig 10 style)")
+	series := flag.Bool("series", false, "print the full interval-IPC series")
 	flag.Parse()
 
-	spec, err := pgss.Benchmark(*bench)
-	check(err)
-	prof, err := pgss.Record(spec, *ops)
-	check(err)
+	if *list {
+		fmt.Println("available benchmarks:")
+		for _, n := range workload.Names() {
+			s, _ := workload.Get(n)
+			fmt.Printf("  %-14s %d kernels, default %d ops\n", n, len(s.Kernels), s.DefaultOps)
+		}
+		return
+	}
+
+	prof := record(*bench, *ops)
 	sigma, err := prof.IntervalStdDev(*gran)
 	check(err)
+	ipcs, err := prof.IPCSeries(*gran)
+	check(err)
+	fmt.Printf("interval IPC @%d ops: n=%d mean=%.4f σ=%.4f min=%.4f p50=%.4f max=%.4f\n",
+		*gran, len(ipcs), stats.Mean(ipcs), stats.StdDev(ipcs),
+		stats.Percentile(ipcs, 0), stats.Percentile(ipcs, 50), stats.Percentile(ipcs, 100))
+	if *series {
+		for i, x := range ipcs {
+			fmt.Printf("%12d %.4f\n", uint64(i)**gran, x)
+		}
+	}
 	fmt.Printf("%s: %d ops, true IPC %.4f, interval σ@%d = %.4f\n\n",
 		prof.Benchmark, prof.TotalOps, prof.TrueIPC(), *gran, sigma)
 
-	ipcs, err := prof.IPCSeries(*gran)
-	check(err)
 	bbvs, err := prof.BBVSeries(*gran)
 	check(err)
 	n := prof.NumFullWindows(*gran)
@@ -93,7 +115,7 @@ func main() {
 // printMAVDiagnostics prints the per-phase memory-access-vector table:
 // access density (the MAV counts loads and stores combined) and how
 // concentrated each phase's accesses are on its hottest hashed lines.
-func printMAVDiagnostics(prof *pgss.Profile, table *phase.Table, ids []int, n int, gran uint64) {
+func printMAVDiagnostics(prof *profile.Profile, table *phase.Table, ids []int, n int, gran uint64) {
 	if !prof.HasMAV() {
 		fmt.Printf("\n(no MAV channel: profile recorded with MAVBits=0)\n")
 		return
@@ -143,6 +165,37 @@ func printMAVDiagnostics(prof *pgss.Profile, table *phase.Table, ids []int, n in
 		fmt.Printf("%6d %12.0f %12.4f %9.2f%% %9.2f%%\n",
 			p.ID, total, total/float64(p.Ops), top[0]/total*100, top8/total*100)
 	}
+}
+
+// record builds the benchmark, records its detailed profile on the default
+// core and prints the build, recording, cache and branch statistics.
+func record(name string, ops uint64) *profile.Profile {
+	spec, err := workload.Get(name)
+	check(err)
+	start := time.Now()
+	prog, err := spec.Build(ops)
+	check(err)
+	fmt.Printf("built %s: %d instructions, %d data words (%.1f MB) in %v\n",
+		prog.Name, len(prog.Code), prog.DataWords, float64(prog.DataWords)*8/1e6,
+		time.Since(start).Round(time.Millisecond))
+
+	m, err := cpu.NewMachine(prog)
+	check(err)
+	core, err := cpu.NewCore(m, cpu.DefaultCoreConfig())
+	check(err)
+	hash, err := bbv.NewHash(bbv.DefaultHashBits, 42) // the suite-wide BBV hash seed
+	check(err)
+	start = time.Now()
+	p, err := profile.Record(core, hash, profile.DefaultConfig())
+	check(err)
+	dur := time.Since(start)
+	fmt.Printf("recorded: %d ops, %d cycles, IPC=%.4f (%.1f Mops/s detailed)\n",
+		p.TotalOps, p.TotalCycles, p.TrueIPC(), float64(p.TotalOps)/dur.Seconds()/1e6)
+	fmt.Printf("caches: L1I %.2f%% L1D %.2f%% L2 %.2f%% miss; branches %.2f%% mispredicted; wild=%d\n",
+		core.Hier.L1I.Stats().MissRate()*100, core.Hier.L1D.Stats().MissRate()*100,
+		core.Hier.L2.Stats().MissRate()*100, core.BP.Stats().MispredictRate()*100,
+		m.WildAccesses)
+	return p
 }
 
 // withinPhaseSigma is the ops-weighted within-phase IPC standard deviation

@@ -14,20 +14,18 @@ import (
 	"pgss/internal/analysis/leaktrack"
 	"pgss/internal/analysis/lockorder"
 	"pgss/internal/analysis/maporder"
-	"pgss/internal/analysis/mutexcopy"
 	"pgss/internal/analysis/nodeterminism"
 )
 
 // All returns every analyzer in the suite, in the order pgss-lint runs
-// them: the seven syntax-level analyzers from PR 4, then the four
-// CFG-based dataflow analyzers.
+// them: the six syntax-level analyzers, then the four CFG-based dataflow
+// analyzers. By-value lock copies are left to go vet's copylocks check.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		nodeterminism.Analyzer,
 		maporder.Analyzer,
 		errwrap.Analyzer,
 		ctxflow.Analyzer,
-		mutexcopy.Analyzer,
 		goroutines.Analyzer,
 		ioatomic.Analyzer,
 		lockorder.Analyzer,

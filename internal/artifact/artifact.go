@@ -224,6 +224,17 @@ func Open(root string, opts Options) (*Store, error) {
 	return s, nil
 }
 
+// DefaultRoot is the per-user store root the CLIs share by default:
+// pgss-artifacts under the user cache directory, or "" (no store) when the
+// platform has none.
+func DefaultRoot() string {
+	dir, err := os.UserCacheDir()
+	if err != nil {
+		return ""
+	}
+	return filepath.Join(dir, "pgss-artifacts")
+}
+
 // orOS mirrors faultinject.orOS for the store's own file traffic.
 func orOS(fsys faultinject.FS) faultinject.FS {
 	if fsys == nil {
@@ -299,8 +310,8 @@ func (s *Store) resolve(k Key,
 	hash := k.Hash()
 	path := s.objectPathOf(hash)
 
-	// Fast path: published already. A corrupt object self-heals exactly
-	// like the legacy profile cache: log, delete, re-record.
+	// Fast path: published already. A corrupt object self-heals: log,
+	// delete, re-record.
 	if v, err := load(path); err == nil {
 		s.touch(k, hash, path)
 		return v, nil

@@ -1,10 +1,14 @@
 package artifact
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -355,42 +359,47 @@ func TestStaleLockBreak(t *testing.T) {
 	}
 }
 
-// TestCorruptObjectSelfHeals flips bytes in a published object; the next
-// resolve must delete it and re-record, exactly like the profile cache.
+// TestCorruptObjectSelfHeals flips bytes in a published object, or replaces
+// it with a whole-file gob profile; the next resolve must delete it and
+// re-record.
 func TestCorruptObjectSelfHeals(t *testing.T) {
-	mem := faultinject.NewMemFS()
-	s := openMem(t, mem)
-	k := profileKey("197.parser")
 	want := testProfile("197.parser", 0)
-	if _, err := s.Profile(k, func() (*profile.Profile, error) { return want, nil }); err != nil {
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(want); err != nil {
 		t.Fatal(err)
 	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(data []byte) []byte
+	}{
+		{"bit flip", func(data []byte) []byte { data[len(data)/2] ^= 0xff; return data }},
+		// The pre-binary on-disk form is no longer decodable.
+		{"whole-file gob", func([]byte) []byte { return legacy.Bytes() }},
+	} {
+		mem := faultinject.NewMemFS()
+		s := openMem(t, mem)
+		k := profileKey("197.parser")
+		if _, err := s.Profile(k, func() (*profile.Profile, error) { return want, nil }); err != nil {
+			t.Fatal(err)
+		}
+		path := s.ObjectPath(k)
+		data, err := mem.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeRaw(t, mem, path, tc.corrupt(data))
 
-	path := s.ObjectPath(k)
-	data, err := mem.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	f, err := mem.OpenFile(path, os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	var recs atomic.Int32
-	got, err := s.Profile(k, func() (*profile.Profile, error) { recs.Add(1); return want, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recs.Load() != 1 {
-		t.Fatalf("corrupt object did not trigger re-record (ran %d)", recs.Load())
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("re-recorded profile differs")
+		var recs atomic.Int32
+		got, err := s.Profile(k, func() (*profile.Profile, error) { recs.Add(1); return want, nil })
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if recs.Load() != 1 {
+			t.Fatalf("%s: corrupt object did not trigger re-record (ran %d)", tc.name, recs.Load())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: re-recorded profile differs", tc.name)
+		}
 	}
 }
 
@@ -621,5 +630,23 @@ func TestRecordErrorPropagates(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("retry after failed record returned wrong profile")
+	}
+}
+
+// TestDefaultRoot: the default store lives under the user cache directory,
+// and a platform without one gets no store rather than a relative path.
+func TestDefaultRoot(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("cache-directory environment is platform specific")
+	}
+	cache := t.TempDir()
+	t.Setenv("XDG_CACHE_HOME", cache)
+	if got, want := DefaultRoot(), filepath.Join(cache, "pgss-artifacts"); got != want {
+		t.Fatalf("DefaultRoot() = %q, want %q", got, want)
+	}
+	t.Setenv("XDG_CACHE_HOME", "")
+	t.Setenv("HOME", "")
+	if got := DefaultRoot(); got != "" {
+		t.Fatalf("DefaultRoot() without a cache dir = %q, want \"\"", got)
 	}
 }

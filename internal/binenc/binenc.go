@@ -129,8 +129,7 @@ type Reader struct {
 	off  int
 }
 
-// HasMagic reports whether data begins with the given container magic —
-// the sniff loaders use to pick the binary path over a legacy decoder.
+// HasMagic reports whether data begins with the given container magic.
 func HasMagic(data []byte, magic string) bool {
 	return len(magic) == MagicLen && len(data) >= MagicLen && string(data[:MagicLen]) == magic
 }

@@ -54,8 +54,7 @@ func newRecord(o Outcome) record {
 // (Castagnoli) of the JSON payload, one space, the payload, '\n'. The
 // checksum catches torn and bit-rotted tails that still happen to parse as
 // JSON (a torn `{"key":"a"` prefix of a longer record is itself valid for
-// a shorter one). Lines starting with '{' are accepted as legacy unframed
-// records so pre-framing journals still resume.
+// a shorter one). An unframed line is treated like a torn tail.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 func frameRecord(payload []byte) []byte {
@@ -68,13 +67,6 @@ func frameRecord(payload []byte) []byte {
 // parseLine validates one newline-stripped journal line and decodes it.
 func parseLine(b []byte) (record, error) {
 	var rec record
-	if len(b) > 0 && b[0] == '{' {
-		// Legacy unframed line: JSON validity is all the protection it has.
-		if err := json.Unmarshal(b, &rec); err != nil {
-			return rec, pgsserrors.Corruptf("legacy journal line: %v", err)
-		}
-		return rec, nil
-	}
 	if len(b) < 9 || b[8] != ' ' {
 		return rec, pgsserrors.Corruptf("journal line missing checksum frame")
 	}
@@ -127,9 +119,6 @@ func replayJournal(fsys faultinject.FS, path string, logf func(string, ...any)) 
 			// runs re-execute.
 			logf("campaign: journal %s: ignoring line %d and beyond: %v\n", path, line, err)
 			return out, goodLen, nil
-		}
-		if rec.Key == "" {
-			rec.Key = rec.Spec.Key()
 		}
 		out[rec.Key] = rec
 		goodLen += int64(len(b)) + 1

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"os"
 	"strings"
 	"testing"
@@ -129,33 +130,43 @@ func TestJournalChecksumMismatchDropped(t *testing.T) {
 	}
 }
 
-// TestJournalLegacyLinesAccepted: journals written before CRC framing are
-// plain JSONL; replay must still accept them so old campaigns resume.
-func TestJournalLegacyLinesAccepted(t *testing.T) {
+// TestJournalUnframedLineRejected: a plain JSON line (the format before
+// CRC framing) is no longer accepted. Replay stops at it like at a torn
+// tail, goodLen ends before it, and a resumed campaign re-runs its run.
+func TestJournalUnframedLineRejected(t *testing.T) {
 	mem := faultinject.NewMemFS()
 	const path = "campaign.jsonl"
-	legacy := `{"key":"gcc|simpoint||7","spec":{"benchmark":"gcc","technique":"simpoint","seed":7},"status":"done","attempts":1,"elapsed_ms":10,"result":{}}` + "\n"
-	rewrite(t, mem, path, []byte(legacy))
+	specs := []Spec{journalOutcome(0).Spec, journalOutcome(1).Spec}
+	appendAll(t, mem, path, false, journalOutcome(0))
+	framed := durableSize(t, mem, path)
+	data, err := mem.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unframed := `{"key":"` + specs[1].Key() + `","spec":{"benchmark":"gcc","technique":"simpoint","seed":1},"status":"done","attempts":1,"elapsed_ms":10,"result":{}}` + "\n"
+	rewrite(t, mem, path, append(data, unframed...))
 
 	recs, goodLen, err := replayJournal(mem, path, func(string, ...any) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs["gcc|simpoint||7"].Status != statusDone {
-		t.Fatalf("legacy record not replayed: %+v", recs)
+	if len(recs) != 1 {
+		t.Fatalf("replayed %d records, want 1 (unframed line rejected)", len(recs))
 	}
-	if goodLen != int64(len(legacy)) {
-		t.Fatalf("goodLen %d, want %d", goodLen, len(legacy))
+	if goodLen != framed {
+		t.Fatalf("goodLen %d, want %d (end of the framed prefix)", goodLen, framed)
 	}
 
-	// Appending after a legacy journal writes framed records alongside.
-	appendAll(t, mem, path, true, journalOutcome(4))
-	recs, _, err = replayJournal(mem, path, func(string, ...any) {})
+	var ran []string
+	rep, err := Run(context.Background(), specs, func(ctx context.Context, sp Spec) (sampling.Result, error) {
+		ran = append(ran, sp.Key())
+		return sampling.Result{}, nil
+	}, Options{Jobs: 1, JournalPath: path, Resume: true, FS: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("mixed-format journal replayed %d records, want 2", len(recs))
+	if len(ran) != 1 || ran[0] != specs[1].Key() || rep.Resumed != 1 || rep.Completed != 2 {
+		t.Fatalf("resume ran %v, report %+v; want only %s re-run", ran, rep, specs[1].Key())
 	}
 }
 

@@ -44,13 +44,6 @@ type libraryMeta struct {
 	Count     int
 }
 
-// libraryImage is the legacy whole-file gob form of a Library, kept for
-// reading caches written before the binary format existed.
-type libraryImage struct {
-	StrideOps   uint64
-	Checkpoints []*Checkpoint
-}
-
 // Save writes the library to path on fsys (nil = the real filesystem) in
 // the CRC-framed binary format. The write is crash-consistent (temp file +
 // fsync + rename via faultinject.WriteAtomic): a crash leaves the previous
@@ -87,9 +80,7 @@ func (l *Library) Save(fsys faultinject.FS, path string) error {
 }
 
 // Load reads a library written by Save from fsys (nil = the real
-// filesystem). Files are sniffed by magic: binary containers take the
-// framed path (mmapped on the real filesystem), anything else falls back
-// to the legacy whole-file gob decoder. Decode failures, version skew and
+// filesystem). The file is mmapped on the real filesystem. Decode failures, version skew and
 // structural violations are reported as ErrCacheCorrupt so callers can
 // delete the file and re-record; a missing file keeps its os error (check
 // with os.IsNotExist).
@@ -98,12 +89,7 @@ func Load(fsys faultinject.FS, path string) (*Library, error) {
 	if err != nil {
 		return nil, err
 	}
-	var lib *Library
-	if binenc.HasMagic(data, libraryMagic) {
-		lib, err = decodeBinaryLibrary(data)
-	} else {
-		lib, err = decodeGobLibrary(data)
-	}
+	lib, err := decodeBinaryLibrary(data)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %s: %w", path, err)
 	}
@@ -174,14 +160,6 @@ func decodeBinaryLibrary(data []byte) (*Library, error) {
 	}
 	lib.strideOps = meta.StrideOps
 	return &lib, nil
-}
-
-func decodeGobLibrary(data []byte) (*Library, error) {
-	var img libraryImage
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
-		return nil, pgsserrors.Corruptf("gob decode: %v", err)
-	}
-	return &Library{strideOps: img.StrideOps, checkpoints: img.Checkpoints}, nil
 }
 
 // checkIntegrity verifies the structural invariants a healthy library

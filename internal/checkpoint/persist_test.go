@@ -1,9 +1,7 @@
 package checkpoint
 
 import (
-	"encoding/gob"
 	"errors"
-	"io"
 	"os"
 	"testing"
 
@@ -171,50 +169,5 @@ func TestSeekStrideBoundaries(t *testing.T) {
 		if fresh.M.Retired() != pos {
 			t.Errorf("seek to boundary %d landed at %d", pos, fresh.M.Retired())
 		}
-	}
-}
-
-// TestLoadLegacyGobFallback: libraries written before the binary container
-// existed are whole-file gob; Load must still read them (sniffed by the
-// absent magic) and the result must drive a core identically to the
-// original library.
-func TestLoadLegacyGobFallback(t *testing.T) {
-	c, _ := newCore(t, "197.parser", 300_000)
-	lib, err := Record(c, 100_000, 300_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mem := faultinject.NewMemFS()
-	err = faultinject.WriteAtomic(mem, "cache/legacy.ckpt", 0o644, func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(libraryImage{
-			StrideOps:   lib.strideOps,
-			Checkpoints: lib.checkpoints,
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := Load(mem, "cache/legacy.ckpt")
-	if err != nil {
-		t.Fatalf("legacy gob library rejected: %v", err)
-	}
-	if got.Len() != lib.Len() || got.StrideOps() != lib.StrideOps() {
-		t.Fatalf("legacy load: %d ckpts stride %d, want %d stride %d",
-			got.Len(), got.StrideOps(), lib.Len(), lib.StrideOps())
-	}
-	pos := uint64(200_000)
-	w1, _ := newCore(t, "197.parser", 300_000)
-	if _, err := got.Seek(w1, pos); err != nil {
-		t.Fatal(err)
-	}
-	w2, _ := newCore(t, "197.parser", 300_000)
-	if _, err := lib.Seek(w2, pos); err != nil {
-		t.Fatal(err)
-	}
-	if w1.M.Retired() != w2.M.Retired() || w1.T.Cycle() != w2.T.Cycle() {
-		t.Fatalf("legacy-loaded library diverged: pos %d/%d cycles %d/%d",
-			w1.M.Retired(), w2.M.Retired(), w1.T.Cycle(), w2.T.Cycle())
 	}
 }

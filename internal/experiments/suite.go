@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
@@ -40,15 +39,12 @@ type Options struct {
 	// SizeFactor scales every benchmark's default length (1.0 = defaults);
 	// ignored when TotalOps is set.
 	SizeFactor float64
-	// CacheDir persists recorded profiles between runs ("" = no cache).
-	// Superseded by ArtifactDir; kept for existing per-run cache layouts.
-	CacheDir string
 	// ArtifactDir roots a content-addressed artifact store (see
 	// internal/artifact) that dedupes recorded profiles AND checkpoint
-	// libraries across runs, processes and campaigns ("" = no store). When
-	// set it takes precedence over CacheDir, and concurrent campaign
-	// workers — including ones in other processes sharing the same root —
-	// record each missing artifact exactly once machine-wide.
+	// libraries across runs, processes and campaigns ("" = no store).
+	// Concurrent campaign workers — including ones in other processes
+	// sharing the same root — record each missing artifact exactly once
+	// machine-wide.
 	ArtifactDir string
 	// HashSeed fixes the BBV hash bit selection.
 	HashSeed int64
@@ -64,7 +60,7 @@ type Options struct {
 	// Context, when set, cancels in-flight recording and simulation
 	// cooperatively (SIGINT handling in the CLIs).
 	Context context.Context
-	// FS is the filesystem the profile cache lives on (nil = the real OS
+	// FS is the filesystem the artifact store lives on (nil = the real OS
 	// filesystem). Chaos tests swap in a faultinject.MemFS or Injector.
 	FS faultinject.FS
 }
@@ -183,28 +179,6 @@ func (s *Suite) targetOps(spec *workload.Spec) uint64 {
 	return uint64(float64(spec.DefaultOps) * s.opts.SizeFactor)
 }
 
-func (s *Suite) cachePath(key profileKey) string {
-	if s.opts.CacheDir == "" {
-		return ""
-	}
-	// Default-width profiles keep the historical filename, so existing
-	// caches stay warm across this change; width variants get a suffix.
-	suffix := ""
-	if key.bits != s.hash.Width() {
-		suffix = fmt.Sprintf("_b%d", key.bits)
-	}
-	return filepath.Join(s.opts.CacheDir, fmt.Sprintf("%s_ops%d_h%d_v%d%s.profile",
-		key.name, key.ops, s.opts.HashSeed, schemaVersion, suffix))
-}
-
-// fs returns the cache filesystem (real OS when Options.FS is nil).
-func (s *Suite) fs() faultinject.FS {
-	if s.opts.FS != nil {
-		return s.opts.FS
-	}
-	return faultinject.OS()
-}
-
 func (s *Suite) logf(format string, args ...any) {
 	if !s.opts.Quiet {
 		fmt.Fprintf(os.Stderr, format, args...)
@@ -221,7 +195,8 @@ func (s *Suite) ctx() context.Context {
 
 // Profile returns the detailed profile of the named benchmark at the
 // suite's default length and hash width, recording it (one full detailed
-// pass) on first use and caching in memory and, when configured, on disk.
+// pass) on first use and caching in memory and, when configured, in the
+// artifact store.
 // Concurrent callers asking for the same missing benchmark share one
 // recording.
 func (s *Suite) Profile(name string) (*profile.Profile, error) {
@@ -317,8 +292,8 @@ func (s *Suite) PaperTen() ([]*profile.Profile, error) {
 
 // recordParallel records several benchmarks through the campaign runner:
 // worker-pool parallelism, panic recovery and cancellation for free. A
-// recording campaign keeps no journal — the profile cache on disk already
-// makes finished recordings resumable.
+// recording campaign keeps no journal — the artifact store already makes
+// finished recordings resumable.
 func (s *Suite) recordParallel(names []string) error {
 	specs := make([]campaign.Spec, len(names))
 	for i, n := range names {
@@ -359,47 +334,20 @@ func (s *Suite) artifactKey(key profileKey) artifact.Key {
 }
 
 // recordOne loads or records one profile variant without touching the
-// shared profile map (parallel-safe). With an artifact store configured
-// the store does the resolving (content-addressed, singleflight across
-// processes); otherwise the legacy per-suite cache file path applies. A
-// corrupt cache file — truncated write, schema drift, bit rot — is not
-// fatal either way: it is logged, deleted and re-recorded (self-healing
-// cache).
+// shared profile map (parallel-safe): from the artifact store when one is
+// configured (content-addressed, singleflight across processes, corrupt
+// objects re-recorded), otherwise recorded fresh.
 func (s *Suite) recordOne(spec *workload.Spec, key profileKey) (*profile.Profile, error) {
-	if s.store != nil {
-		return s.store.Profile(s.artifactKey(key), func() (*profile.Profile, error) {
-			return s.recordFresh(spec, key)
-		})
+	if s.store == nil {
+		return s.recordFresh(spec, key)
 	}
-	if path := s.cachePath(key); path != "" {
-		p, err := profile.LoadFS(s.opts.FS, path)
-		switch {
-		case err == nil:
-			return p, nil
-		case os.IsNotExist(err):
-			// Cold cache: record below.
-		default:
-			s.logf("profile cache %s unusable (%v), deleting and re-recording\n", path, err)
-			if rmErr := s.fs().Remove(path); rmErr != nil && !os.IsNotExist(rmErr) {
-				return nil, fmt.Errorf("experiments: cannot remove corrupt cache %s: %w (%v)",
-					path, rmErr, err)
-			}
-		}
-	}
-	p, err := s.recordFresh(spec, key)
-	if err != nil {
-		return nil, err
-	}
-	if path := s.cachePath(key); path != "" {
-		if err := p.SaveFS(s.opts.FS, path); err != nil {
-			s.logf("profile cache write failed: %v\n", err)
-		}
-	}
-	return p, nil
+	return s.store.Profile(s.artifactKey(key), func() (*profile.Profile, error) {
+		return s.recordFresh(spec, key)
+	})
 }
 
 // recordFresh runs the full detailed recording pass for one profile
-// variant — the expensive part both cache layers guard.
+// variant — the expensive part the store guards.
 func (s *Suite) recordFresh(spec *workload.Spec, key profileKey) (*profile.Profile, error) {
 	hash := s.hash
 	if key.bits != s.hash.Width() {

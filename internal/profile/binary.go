@@ -1,8 +1,6 @@
 package profile
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"io"
 
@@ -20,8 +18,8 @@ import (
 // present only when the profile carries the channel) the raw MAV arena laid
 // out the same way. On little-endian hosts a loaded profile's Cycles,
 // RawBBVs and RawMAVs alias the read (or mmapped) file bytes directly — the
-// O(1) warm-start path campaigns use. Version-1 files (no MAV channel)
-// remain readable.
+// O(1) warm-start path campaigns use. Only the current version decodes;
+// anything else is reported as corruption and re-recorded.
 const (
 	profileMagic   = "PGSSPROF"
 	profileVersion = 2
@@ -116,8 +114,8 @@ func decodeBinary(data []byte) (*Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version < 1 || version > profileVersion {
-		return nil, pgsserrors.Corruptf("profile: unsupported binary version %d (want 1..%d)", version, profileVersion)
+	if version != profileVersion {
+		return nil, pgsserrors.Corruptf("profile: unsupported binary version %d (want %d)", version, profileVersion)
 	}
 	var (
 		meta     profileMeta
@@ -149,9 +147,6 @@ func decodeBinary(data []byte) (*Profile, error) {
 				return nil, err
 			}
 		case tagProfileMAVs:
-			if version < 2 {
-				return nil, pgsserrors.Corruptf("profile: MAV frame in version-%d container", version)
-			}
 			if mavArena, err = binenc.F64s(payload); err != nil {
 				return nil, err
 			}
@@ -207,14 +202,4 @@ func readProfileBytes(fsys faultinject.FS, path string) ([]byte, error) {
 	}
 	defer f.Close()
 	return io.ReadAll(f)
-}
-
-// decodeGob is the read-side fallback for profiles written before the
-// binary format existed.
-func decodeGob(data []byte) (*Profile, error) {
-	var p Profile
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&p); err != nil {
-		return nil, pgsserrors.Corruptf("profile: gob decode: %v", err)
-	}
-	return &p, nil
 }

@@ -36,7 +36,7 @@ func TestBinaryFileFormat(t *testing.T) {
 	prog := computeProgram(t, 3000)
 	p := record(t, prog, Config{FineOps: 1000, BBVOps: 5000})
 	path := filepath.Join(t.TempDir(), "p.bin")
-	if err := p.Save(path); err != nil {
+	if err := p.SaveFS(nil, path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -46,7 +46,7 @@ func TestBinaryFileFormat(t *testing.T) {
 	if !binenc.HasMagic(data, profileMagic) {
 		t.Fatalf("saved profile does not start with %q", profileMagic)
 	}
-	got, err := Load(path)
+	got, err := LoadFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,23 +55,21 @@ func TestBinaryFileFormat(t *testing.T) {
 	}
 }
 
+// TestLoadLegacyGob: a whole-file gob of the Profile — the on-disk form
+// before the binary container — is no longer a supported input and loads
+// as corruption, so the store re-records it.
 func TestLoadLegacyGob(t *testing.T) {
 	prog := computeProgram(t, 3000)
 	p := record(t, prog, Config{FineOps: 1000, BBVOps: 5000})
 	path := filepath.Join(t.TempDir(), "legacy.gob")
-	// Write the pre-binary on-disk form: a whole-file gob of the Profile.
 	err := faultinject.WriteAtomic(nil, path, 0o644, func(w io.Writer) error {
 		return gob.NewEncoder(w).Encode(p)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatalf("legacy gob profile failed to load: %v", err)
-	}
-	if !reflect.DeepEqual(stripPrefix(got), stripPrefix(p)) {
-		t.Fatal("legacy gob round-trip changed the profile")
+	if _, err := LoadFS(nil, path); !errors.Is(err, pgsserrors.ErrCacheCorrupt) {
+		t.Fatalf("legacy gob profile: err = %v, want ErrCacheCorrupt", err)
 	}
 }
 
@@ -90,7 +88,7 @@ func TestLoadVersionSkew(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); !errors.Is(err, pgsserrors.ErrCacheCorrupt) {
+	if _, err := LoadFS(nil, path); !errors.Is(err, pgsserrors.ErrCacheCorrupt) {
 		t.Fatalf("future version: err = %v, want ErrCacheCorrupt", err)
 	}
 }
@@ -99,7 +97,7 @@ func TestLoadCorruptArena(t *testing.T) {
 	prog := computeProgram(t, 3000)
 	p := record(t, prog, Config{FineOps: 1000, BBVOps: 5000})
 	path := filepath.Join(t.TempDir(), "p.bin")
-	if err := p.Save(path); err != nil {
+	if err := p.SaveFS(nil, path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -112,7 +110,7 @@ func TestLoadCorruptArena(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); !errors.Is(err, pgsserrors.ErrCacheCorrupt) {
+	if _, err := LoadFS(nil, path); !errors.Is(err, pgsserrors.ErrCacheCorrupt) {
 		t.Fatalf("corrupt arena: err = %v, want ErrCacheCorrupt", err)
 	}
 }
@@ -152,10 +150,10 @@ func TestBinaryRoundTripMAV(t *testing.T) {
 		t.Fatal("recorded profile has no MAV channel")
 	}
 	path := filepath.Join(t.TempDir(), "p.bin")
-	if err := p.Save(path); err != nil {
+	if err := p.SaveFS(nil, path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
+	got, err := LoadFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,14 +165,12 @@ func TestBinaryRoundTripMAV(t *testing.T) {
 	}
 }
 
-// TestLoadVersion1Compat: a MAV-less container relabelled version 1 — the
-// exact byte layout version-1 writers produced — still loads.
+// TestLoadVersion1Compat: a container relabelled version 1 — the layout
+// version-1 writers produced — is no longer a supported input and loads as
+// corruption.
 func TestLoadVersion1Compat(t *testing.T) {
 	prog := computeProgram(t, 3000)
 	p := record(t, prog, Config{FineOps: 1000, BBVOps: 5000})
-	if p.HasMAV() {
-		t.Fatal("MAV-less config produced a MAV channel")
-	}
 	var buf bytes.Buffer
 	if err := p.encodeBinary(&buf); err != nil {
 		t.Fatal(err)
@@ -185,34 +181,7 @@ func TestLoadVersion1Compat(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatalf("version-1 profile failed to load: %v", err)
-	}
-	if !reflect.DeepEqual(stripPrefix(got), stripPrefix(p)) {
-		t.Fatal("version-1 load changed the profile")
-	}
-	if got.HasMAV() {
-		t.Fatal("version-1 profile grew a MAV channel")
-	}
-}
-
-// TestLoadVersion1RejectsMAVFrame: a MAV arena frame inside a container
-// claiming version 1 is corruption, not forward compatibility.
-func TestLoadVersion1RejectsMAVFrame(t *testing.T) {
-	prog := computeProgram(t, 3000)
-	p := record(t, prog, Config{FineOps: 1000, BBVOps: 5000, MAVBits: bbv.DefaultMAVBits, MAVSeed: DefaultMAVSeed})
-	var buf bytes.Buffer
-	if err := p.encodeBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[8] = 1
-	path := filepath.Join(t.TempDir(), "bad.bin")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); !errors.Is(err, pgsserrors.ErrCacheCorrupt) {
-		t.Fatalf("MAV frame in v1 container: err = %v, want ErrCacheCorrupt", err)
+	if _, err := LoadFS(nil, path); !errors.Is(err, pgsserrors.ErrCacheCorrupt) {
+		t.Fatalf("version-1 profile: err = %v, want ErrCacheCorrupt", err)
 	}
 }

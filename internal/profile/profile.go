@@ -20,7 +20,6 @@ import (
 	"sync"
 
 	"pgss/internal/bbv"
-	"pgss/internal/binenc"
 	"pgss/internal/cpu"
 	"pgss/internal/faultinject"
 	"pgss/internal/pgsserrors"
@@ -68,8 +67,7 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Profile is a recorded run. Fields are exported for gob serialisation;
-// treat loaded profiles as immutable.
+// Profile is a recorded run. Treat loaded profiles as immutable.
 type Profile struct {
 	Benchmark string
 	HashBits  int
@@ -574,9 +572,6 @@ func (p *Profile) CheckIntegrity() error {
 	return nil
 }
 
-// Save writes the profile to path on the real filesystem. See SaveFS.
-func (p *Profile) Save(path string) error { return p.SaveFS(nil, path) }
-
 // SaveFS writes the profile to path on fsys (nil = the real filesystem)
 // in the CRC-framed binary format (see binary.go), creating parent
 // directories as needed. The write is crash-consistent: temp file, fsync,
@@ -592,15 +587,9 @@ func (p *Profile) SaveFS(fsys faultinject.FS, path string) error {
 	return nil
 }
 
-// Load reads a profile written by Save from the real filesystem. See
-// LoadFS.
-func Load(path string) (*Profile, error) { return LoadFS(nil, path) }
-
 // LoadFS reads a profile written by SaveFS from fsys (nil = the real
-// filesystem). Files are sniffed by magic: the binary container decodes
-// with zero copies (mmapped on the real filesystem), anything else falls
-// back to the legacy gob decoder, so pre-binary caches stay readable.
-// Decode failures, version skew and integrity violations are reported as
+// filesystem). The binary container decodes with zero copies (mmapped on
+// the real filesystem). Decode failures, version skew and integrity violations are reported as
 // ErrCacheCorrupt so callers can delete the file and re-record; a missing
 // file keeps its os error (check with os.IsNotExist).
 func LoadFS(fsys faultinject.FS, path string) (*Profile, error) {
@@ -608,12 +597,7 @@ func LoadFS(fsys faultinject.FS, path string) (*Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	var p *Profile
-	if binenc.HasMagic(data, profileMagic) {
-		p, err = decodeBinary(data)
-	} else {
-		p, err = decodeGob(data)
-	}
+	p, err := decodeBinary(data)
 	if err != nil {
 		return nil, fmt.Errorf("profile: %s: %w", path, err)
 	}

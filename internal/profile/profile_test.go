@@ -249,10 +249,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	prog := computeProgram(t, 5000)
 	p := record(t, prog, Config{FineOps: 1000, BBVOps: 5000})
 	path := filepath.Join(t.TempDir(), "sub", "p.profile")
-	if err := p.Save(path); err != nil {
+	if err := p.SaveFS(nil, path); err != nil {
 		t.Fatal(err)
 	}
-	q, err := Load(path)
+	q, err := LoadFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadMissingFile(t *testing.T) {
-	_, err := Load(filepath.Join(t.TempDir(), "absent"))
+	_, err := LoadFS(nil, filepath.Join(t.TempDir(), "absent"))
 	if err == nil {
 		t.Error("loading a missing file succeeded")
 	}
@@ -285,7 +285,7 @@ func TestLoadTruncatedFileIsCorrupt(t *testing.T) {
 	prog := computeProgram(t, 5000)
 	p := record(t, prog, Config{FineOps: 1000, BBVOps: 5000})
 	path := filepath.Join(t.TempDir(), "p.profile")
-	if err := p.Save(path); err != nil {
+	if err := p.SaveFS(nil, path); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -295,7 +295,7 @@ func TestLoadTruncatedFileIsCorrupt(t *testing.T) {
 	if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); !errors.Is(err, pgsserrors.ErrCacheCorrupt) {
+	if _, err := LoadFS(nil, path); !errors.Is(err, pgsserrors.ErrCacheCorrupt) {
 		t.Errorf("truncated profile: got %v, want ErrCacheCorrupt", err)
 	}
 }
@@ -305,7 +305,7 @@ func TestLoadGarbageFileIsCorrupt(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a gob stream"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); !errors.Is(err, pgsserrors.ErrCacheCorrupt) {
+	if _, err := LoadFS(nil, path); !errors.Is(err, pgsserrors.ErrCacheCorrupt) {
 		t.Errorf("garbage profile: got %v, want ErrCacheCorrupt", err)
 	}
 }
