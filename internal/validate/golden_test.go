@@ -1,0 +1,242 @@
+package validate
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
+	"math"
+	"testing"
+
+	"pgss/internal/bbv"
+	"pgss/internal/checkpoint"
+	"pgss/internal/core"
+	"pgss/internal/cpu"
+	"pgss/internal/faultinject"
+	"pgss/internal/parallel"
+	"pgss/internal/profile"
+	"pgss/internal/program"
+	"pgss/internal/sampling"
+	"pgss/internal/trace"
+	"pgss/internal/workload"
+)
+
+// goldenOps is the program length every golden path runs at: long enough
+// for multi-phase runs, adaptive restarts and several checkpoints, short
+// enough that the whole test takes a few seconds.
+const goldenOps = 2_000_000
+
+// goldenDigests pins, per benchmark, the SHA-256 of the %#v rendering (or
+// the saved bytes) of every engine path's output. The values were taken
+// from the engine before its stepping loops were folded into one kernel
+// and the adaptive variant moved onto the shared controller; any drift in
+// a result, a statistic, a recorded artifact or a trace bundle fails here.
+var goldenDigests = map[string]map[string]string{
+	"164.gzip": {
+		"profile":          "85a10bd42ab230d0071699d3eb0c29e2b874566307e8e8e8f61149fd3a4e777f",
+		"checkpoints":      "a96df77a15ad937e6b35d1f34ed671eed4a72b99121e7df0dd9bdf8707ad9ad5",
+		"run/default":      "dbdecc89e8f00d2a7178280f1634909f2f55a1d5b64ec66ae63966802b1d3fd2",
+		"run/guard-trace":  "5924530cbd1b261ddd6e97ab873256e1f44c1459d33d9a97134c32383b0a1358",
+		"adaptive/default": "94ad212b644dd6b0f2c332c5c3839ac37a0156645c1b2803f9be1906cd798590",
+		"adaptive/restart": "41a63a48269ba7c9a50bf63d646e95e96db3c586fe76f02de80bbaf6c0153489",
+		"live/mav":         "156a7b3819772b8fd296b2a942326f9485d7297e26a8a343403b1a12735a22c3",
+		"parallel/live":    "156a7b3819772b8fd296b2a942326f9485d7297e26a8a343403b1a12735a22c3",
+		"phasetraces":      "4e70d65a939d3f15d90c04449e15cb56d9e45eb3afa12fa8e34990155520326f",
+	},
+	"179.art": {
+		"profile":          "1b5884fd559e4da5a9a49bcfe66129b09fb1047892756e165923fadec590acbd",
+		"checkpoints":      "362674c4137db67595f7bf6f9d414a496dce9858a843ee4a1c62ff4c138a9554",
+		"run/default":      "bf69456b41785bac06d5fed0654b9635d862b373ab16d506425e43a49aa3146d",
+		"run/guard-trace":  "4663a5b55fc82b7f136055f978dda2a9c9274d139010feeb66c8ee93d2669217",
+		"adaptive/default": "30a74e57023b8a6d03e740b060f7ccc80602cd38c2817d069a5186eed46284ff",
+		"adaptive/restart": "2f13e810a1776a3e08320491d4123b7ce24b5aab8d3edab4729103f06c7b15bb",
+		"live/mav":         "e469d4b3839050b43b4d6727e7250b20f13800599924040be3789aba0f28d9eb",
+		"parallel/live":    "e469d4b3839050b43b4d6727e7250b20f13800599924040be3789aba0f28d9eb",
+		"phasetraces":      "44fed2070332b78a5a355a1fe3eb64bf2a2d109ffee66a27fa45c48652b143b9",
+	},
+	"181.mcf": {
+		"profile":          "7706981ccf5b8a75946abeaa38181810beee5f851e9d35a3d8007dd9dedc5c8b",
+		"checkpoints":      "6b31a1a988ca8dee99c3640f683afc4ba9e29fe9a104f6c91657d87414482161",
+		"run/default":      "f802eeca1532a8f4ca5dcf160b08ccadc4c1f631bb985fc0ad6ff7eb810f0c0e",
+		"run/guard-trace":  "3bce383b9a43c90957f1a3c5ab562c8d4464b4db46a369cad567b205ba456e35",
+		"adaptive/default": "038090c3ae0f259f290162a234aa5a26a082faeca738d6709b43c5f01d329619",
+		"adaptive/restart": "a4c60989195a923e551ce966e28ce82d5c6006d21a196abaaf60e5edacf500ec",
+		"live/mav":         "89f8ca58dde3f619cf7676630cf6128d7096d629a250b7d414d0db897878c10b",
+		"parallel/live":    "89f8ca58dde3f619cf7676630cf6128d7096d629a250b7d414d0db897878c10b",
+		"phasetraces":      "c88b22df44e3a5ee3eaf75f2473f16ef8ecddf1204a7f845e206004ff1c07f08",
+	},
+}
+
+func TestGoldenEngineDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("records and simulates three benchmarks")
+	}
+	for _, name := range []string{"164.gzip", "179.art", "181.mcf"} {
+		t.Run(name, func(t *testing.T) {
+			got := engineDigests(t, name)
+			want := goldenDigests[name]
+			for _, path := range goldenPaths {
+				if got[path] != want[path] {
+					t.Errorf("%s: digest %s, golden %s", path, got[path], want[path])
+				}
+			}
+		})
+	}
+}
+
+// goldenPaths lists the pinned engine paths in report order.
+var goldenPaths = []string{
+	"profile", "checkpoints",
+	"run/default", "run/guard-trace",
+	"adaptive/default", "adaptive/restart",
+	"live/mav", "parallel/live", "phasetraces",
+}
+
+func digest(write func(w io.Writer) error) (string, error) {
+	h := sha256.New()
+	if err := write(h); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+func digestOf(vs ...any) string {
+	d, _ := digest(func(w io.Writer) error {
+		for _, v := range vs {
+			fmt.Fprintf(w, "%#v\n", v)
+		}
+		return nil
+	})
+	return d
+}
+
+// savedDigest hashes the bytes save writes to path on an in-memory
+// filesystem.
+func savedDigest(save func(fsys faultinject.FS, path string) error) (string, error) {
+	fsys := faultinject.NewMemFS()
+	if err := save(fsys, "artifact"); err != nil {
+		return "", err
+	}
+	data, err := fsys.ReadFile("artifact")
+	if err != nil {
+		return "", err
+	}
+	return digest(func(w io.Writer) error { _, err := w.Write(data); return err })
+}
+
+func newGoldenCore(t *testing.T, prog *program.Program) *cpu.Core {
+	t.Helper()
+	m, err := cpu.NewMachine(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cpu.NewCore(m, cpu.DefaultCoreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// runAdaptive calls core.RunAdaptive under either of its signatures (with
+// or without a leading context), so the pinned digests stay comparable
+// across the change that made it context-aware.
+func runAdaptive(t sampling.Target, cfg core.AdaptiveConfig) (sampling.Result, core.AdaptiveStats, error) {
+	switch run := any(core.RunAdaptive).(type) {
+	case func(sampling.Target, core.AdaptiveConfig) (sampling.Result, core.AdaptiveStats, error):
+		return run(t, cfg)
+	case func(context.Context, sampling.Target, core.AdaptiveConfig) (sampling.Result, core.AdaptiveStats, error):
+		return run(context.Background(), t, cfg)
+	}
+	panic("validate: unexpected core.RunAdaptive signature")
+}
+
+func engineDigests(t *testing.T, name string) map[string]string {
+	ctx := context.Background()
+	spec, err := workload.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := spec.Build(goldenOps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := bbv.MustNewHash(bbv.DefaultHashBits, 42)
+	mavHash := bbv.MustNewMAVHash(bbv.DefaultMAVBits, 42)
+	out := map[string]string{}
+	check := func(path string, d string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		out[path] = d
+	}
+
+	p, err := profile.RecordContext(ctx, newGoldenCore(t, prog), hash, profile.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := savedDigest(p.SaveFS)
+	check("profile", d, err)
+
+	lib, err := checkpoint.Record(newGoldenCore(t, prog), 200_000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err = savedDigest(lib.Save)
+	check("checkpoints", d, err)
+
+	cfg := core.DefaultConfig(10)
+	res, st, err := core.RunContext(ctx, sampling.NewProfileTarget(p), cfg)
+	check("run/default", digestOf(res, st), err)
+
+	guard := cfg
+	guard.GuardTransitions, guard.Trace = true, true
+	res, st, err = core.RunContext(ctx, sampling.NewProfileTarget(p), guard)
+	check("run/guard-trace", digestOf(res, st), err)
+
+	// The per-phase slices are left out: the adaptive variant did not
+	// report them before it shared the controller's ledger.
+	adaptive := func(acfg core.AdaptiveConfig) (string, error) {
+		res, ast, err := runAdaptive(sampling.NewProfileTarget(p), acfg)
+		ast.PerPhaseSamples, ast.PhaseDiags = nil, nil
+		return digestOf(res, ast), err
+	}
+	acfg := core.DefaultAdaptiveConfig(10)
+	d, err = adaptive(acfg)
+	check("adaptive/default", d, err)
+	acfg.Base.FFOps, acfg.Base.SpreadOps, acfg.MaxFFOps = 10_000, 10_000, 1_600_000
+	d, err = adaptive(acfg)
+	check("adaptive/restart", d, err)
+
+	both := cfg
+	both.Channel = bbv.ChannelBoth
+	live := sampling.NewLiveTarget(newGoldenCore(t, prog), hash, 0, p.TrueIPC())
+	live.EnableMAV(mavHash)
+	res, st, err = core.RunContext(ctx, live, both)
+	check("live/mav", digestOf(res, st), err)
+
+	src, err := parallel.NewLiveSource(lib, hash, func() (*cpu.Core, error) {
+		m, err := cpu.NewMachine(prog)
+		if err != nil {
+			return nil, err
+		}
+		return cpu.NewCore(m, cpu.DefaultCoreConfig())
+	}, p.TotalOps, p.TrueIPC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.EnableMAV(mavHash)
+	res, st, err = parallel.Run(ctx, src, both, parallel.Options{Shards: 2, SampleWorkers: 2})
+	check("parallel/live", digestOf(res, st), err)
+
+	var bundles [2][]trace.PhaseTrace
+	for i, policy := range []trace.RepPolicy{trace.RepFirst, trace.RepMedian} {
+		bundles[i], err = trace.PhaseTraces(prog, cpu.DefaultCoreConfig(), hash, 100_000, 0.05*math.Pi, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("phasetraces", digestOf(bundles), nil)
+	return out
+}
