@@ -97,22 +97,15 @@ func Record(c *cpu.Core, strideOps, maxOps uint64) (*Library, error) {
 	}
 	lib := &Library{strideOps: strideOps}
 	lib.checkpoints = append(lib.checkpoints, Capture(c))
-	buf := c.BlockBuf()
 	next := strideOps
-	// Warm in superblock batches clipped to the next capture (and maxOps)
-	// boundary, so every checkpoint lands on exactly the op position the
-	// historical per-op loop captured at.
+	// Warm up to the next capture (or maxOps) boundary at a time, so every
+	// checkpoint lands exactly on its stride position.
 	for !c.M.Halted() {
 		chunk := next - c.M.Retired()
 		if maxOps > 0 {
-			if left := maxOps - c.M.Retired(); left < chunk {
-				chunk = left
-			}
+			chunk = min(chunk, maxOps-c.M.Retired())
 		}
-		if chunk > uint64(len(buf)) {
-			chunk = uint64(len(buf))
-		}
-		n := c.StepWarmBlock(buf[:chunk])
+		n := c.Run(chunk, false, nil, nil)
 		if c.M.Retired() >= next {
 			lib.checkpoints = append(lib.checkpoints, Capture(c))
 			next += strideOps
@@ -120,7 +113,7 @@ func Record(c *cpu.Core, strideOps, maxOps uint64) (*Library, error) {
 		if maxOps > 0 && c.M.Retired() >= maxOps {
 			break
 		}
-		if uint64(n) < chunk {
+		if n < chunk {
 			break // halted mid-chunk; the error check below classifies it
 		}
 	}
@@ -156,15 +149,9 @@ func (l *Library) Seek(c *cpu.Core, pos uint64) (warmOps uint64, err error) {
 	if err := ck.Restore(c); err != nil {
 		return 0, err
 	}
-	buf := c.BlockBuf()
-	for c.M.Retired() < pos {
-		chunk := pos - c.M.Retired()
-		if chunk > uint64(len(buf)) {
-			chunk = uint64(len(buf))
-		}
-		n := c.StepWarmBlock(buf[:chunk])
-		warmOps += uint64(n)
-		if uint64(n) < chunk {
+	if at := c.M.Retired(); at < pos {
+		warmOps = c.Run(pos-at, false, nil, nil)
+		if warmOps < pos-at {
 			return warmOps, pgsserrors.Invalidf("checkpoint: program ended at %d before position %d",
 				c.M.Retired(), pos)
 		}
@@ -180,31 +167,11 @@ func (l *Library) SampleAt(c *cpu.Core, pos, warmup, sample uint64) (ipc float64
 	if err != nil {
 		return 0, seekOps, err
 	}
-	buf := c.BlockBuf()
-	for got := uint64(0); got < warmup; {
-		chunk := warmup - got
-		if chunk > uint64(len(buf)) {
-			chunk = uint64(len(buf))
-		}
-		n := c.StepDetailedBlock(buf[:chunk])
-		got += uint64(n)
-		if uint64(n) < chunk {
-			return 0, seekOps, pgsserrors.Invalidf("checkpoint: program ended during warm-up")
-		}
+	if c.Run(warmup, true, nil, nil) < warmup {
+		return 0, seekOps, pgsserrors.Invalidf("checkpoint: program ended during warm-up")
 	}
 	startCycles := c.T.Cycle()
-	var done uint64
-	for done < sample {
-		chunk := sample - done
-		if chunk > uint64(len(buf)) {
-			chunk = uint64(len(buf))
-		}
-		n := c.StepDetailedBlock(buf[:chunk])
-		done += uint64(n)
-		if uint64(n) < chunk {
-			break
-		}
-	}
+	done := c.Run(sample, true, nil, nil)
 	cycles := c.T.Cycle() - startCycles
 	if cycles == 0 || done == 0 {
 		return 0, seekOps, pgsserrors.Invalidf("checkpoint: empty sample at %d", pos)

@@ -1,6 +1,9 @@
 package cpu
 
-import "pgss/internal/isa"
+import (
+	"pgss/internal/bbv"
+	"pgss/internal/isa"
+)
 
 // BlockOps is the standard batch size for the Step*Block fast paths. Large
 // enough to amortise dispatch into the superblock interpreter, small enough
@@ -17,6 +20,52 @@ func (c *Core) BlockBuf() []Retired {
 		c.block = make([]Retired, BlockOps)
 	}
 	return c.block
+}
+
+// Run is the stepping kernel every engine loop drives: it retires up to n
+// ops under the timing model (detailed) or in functional-warming mode,
+// feeding the retire stream to the BBV tracker t and the MAV tracker mav
+// (nil turns either off), and returns the ops retired. Fewer than n means
+// the machine halted; M.Err tells a HALT from a fault.
+//
+// The core steps in BlockOps superblock batches and charges t once per
+// straight-line run, which accumulates exactly like per-op RetireOps(1)
+// calls (integer op counts are exact in float64). Ops retired since the
+// last taken branch stay pending in t for the caller's next period.
+func (c *Core) Run(n uint64, detailed bool, t *bbv.Tracker, mav *bbv.MAVTracker) uint64 {
+	buf := c.BlockBuf()
+	var done, run uint64
+	for done < n {
+		chunk := min(n-done, uint64(len(buf)))
+		var k int
+		if detailed {
+			k = c.StepDetailedBlock(buf[:chunk])
+		} else {
+			k = c.StepWarmBlock(buf[:chunk])
+		}
+		if t != nil || mav != nil {
+			for i := range buf[:k] {
+				r := &buf[i]
+				run++
+				if r.Taken && t != nil {
+					t.RetireOps(run)
+					t.TakenBranch(r.Addr)
+					run = 0
+				}
+				if mav != nil && r.Op.IsMem() {
+					mav.Access(r.MemAddr)
+				}
+			}
+		}
+		done += uint64(k)
+		if uint64(k) < chunk {
+			break
+		}
+	}
+	if t != nil {
+		t.RetireOps(run)
+	}
+	return done
 }
 
 // StepFFBlock executes up to len(buf) instructions in plain fast-forward

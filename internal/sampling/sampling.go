@@ -284,65 +284,25 @@ func (t *LiveTarget) Done() bool { return t.core.M.Halted() }
 func (t *LiveTarget) Err() error { return t.core.M.Err() }
 
 // NextWindow implements Target. Each segment (detailed warm-up, measured
-// sample, functional-warming remainder) runs in superblock batches through
-// the core's scratch buffer; tracker updates are run-batched per taken
-// branch, which accumulates identically to the historical per-op loop
-// (integer op counts are exact in float64).
+// sample, functional-warming remainder) runs through the core's stepping
+// kernel with both trackers attached.
 func (t *LiveTarget) NextWindow(ops, warm, sample uint64) (Window, bool) {
 	if t.Done() {
 		return Window{}, false
 	}
 	w := Window{SampleIPC: math.NaN()}
-	buf := t.core.BlockBuf()
-	var done uint64
-
-	segment := func(n uint64, detailed bool) uint64 {
-		var got, run uint64
-		for got < n && !t.core.M.Halted() {
-			chunk := n - got
-			if chunk > uint64(len(buf)) {
-				chunk = uint64(len(buf))
-			}
-			var k int
-			if detailed {
-				k = t.core.StepDetailedBlock(buf[:chunk])
-			} else {
-				k = t.core.StepWarmBlock(buf[:chunk])
-			}
-			for i := range buf[:k] {
-				run++
-				if buf[i].Taken {
-					t.tracker.RetireOps(run)
-					t.tracker.TakenBranch(buf[i].Addr)
-					run = 0
-				}
-				if t.mav != nil && buf[i].Op.IsMem() {
-					t.mav.Access(buf[i].MemAddr)
-				}
-			}
-			got += uint64(k)
-			if uint64(k) < chunk {
-				break
-			}
-		}
-		t.tracker.RetireOps(run)
-		done += got
-		t.pos += got
-		return got
-	}
-
 	if sample > 0 && warm+sample <= ops {
-		w.WarmOps = segment(warm, true)
+		w.WarmOps = t.core.Run(warm, true, t.tracker, t.mav)
 		start := t.core.T.Cycle()
-		w.SampleOps = segment(sample, true)
+		w.SampleOps = t.core.Run(sample, true, t.tracker, t.mav)
 		cycles := t.core.T.Cycle() - start
 		if cycles > 0 && w.SampleOps > 0 {
 			w.SampleIPC = float64(w.SampleOps) / float64(cycles)
 		}
 	}
-	if rem := ops - done; rem > 0 {
-		segment(rem, false)
-	}
+	done := w.WarmOps + w.SampleOps
+	done += t.core.Run(ops-done, false, t.tracker, t.mav)
+	t.pos += done
 	w.Ops = done
 	if t.scratch == nil {
 		t.scratch = make(bbv.Vector, t.tracker.Hash().Buckets())

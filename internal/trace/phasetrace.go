@@ -86,21 +86,10 @@ func PhaseTraces(prog *program.Program, cc cpu.CoreConfig, hash *bbv.Hash,
 	if err != nil {
 		return nil, err
 	}
-	var r cpu.Retired
-	var ops uint64
-	idx := 0
 	members := map[int][]int{} // phase ID → interval indices
-	for core.StepWarm(&r) {
-		ops++
-		tracker.RetireOps(1)
-		if r.Taken {
-			tracker.TakenBranch(r.Addr)
-		}
-		if ops%intervalOps == 0 {
-			p, _, _ := table.Classify(tracker.TakeVector(), intervalOps, idx)
-			members[p.ID] = append(members[p.ID], idx)
-			idx++
-		}
+	for idx := 0; core.Run(intervalOps, false, tracker, nil) == intervalOps; idx++ {
+		p, _, _ := table.Classify(tracker.TakeVector(), intervalOps, idx)
+		members[p.ID] = append(members[p.ID], idx)
 	}
 	if err := core.M.Err(); err != nil {
 		return nil, fmt.Errorf("trace: analysis pass: %w", err)
@@ -151,12 +140,10 @@ func PhaseTraces(prog *program.Program, cc cpu.CoreConfig, hash *bbv.Hash,
 			warm = start - pos
 		}
 		captureFrom := start - warm
-		for pos < captureFrom {
-			if !core2.StepWarm(&r) {
-				return nil, fmt.Errorf("trace: program ended at %d before representative %d", pos, start)
-			}
-			pos++
+		if n := core2.Run(captureFrom-pos, false, nil, nil); pos+n < captureFrom {
+			return nil, fmt.Errorf("trace: program ended at %d before representative %d", pos+n, start)
 		}
+		pos = captureFrom
 		micro := MicroState{
 			L1I: core2.Hier.L1I.Snapshot(),
 			L1D: core2.Hier.L1D.Snapshot(),
