@@ -273,7 +273,7 @@ func BenchmarkPGSSReplay(b *testing.B) {
 	cfg := pgss.DefaultPGSSConfig(pgss.DefaultScale)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := pgss.RunPGSS(p, cfg); err != nil {
+		if _, _, err := pgss.RunPGSS(context.Background(), pgss.NewTarget(p), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

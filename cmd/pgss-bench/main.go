@@ -63,7 +63,8 @@ func main() {
 	flag.Parse()
 
 	// SIGINT/SIGTERM cancel the context; figure generation stops between
-	// windows, campaigns drain in-flight runs and journal them.
+	// windows and no further figure starts, campaigns drain in-flight runs
+	// and journal them.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -118,6 +119,10 @@ func main() {
 	}
 
 	for _, id := range ids {
+		if err := ctx.Err(); err != nil {
+			fmt.Fprintf(os.Stderr, "pgss-bench: interrupted before %s: %v\n", id, err)
+			os.Exit(130)
+		}
 		start := time.Now()
 		rep, err := experiments.Run(suite, id)
 		if err != nil {

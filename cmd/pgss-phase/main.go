@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -186,7 +187,7 @@ func record(name string, ops uint64) *profile.Profile {
 	hash, err := bbv.NewHash(bbv.DefaultHashBits, 42) // the suite-wide BBV hash seed
 	check(err)
 	start = time.Now()
-	p, err := profile.Record(core, hash, profile.DefaultConfig())
+	p, err := profile.RecordContext(context.Background(), core, hash, profile.DefaultConfig())
 	check(err)
 	dur := time.Since(start)
 	fmt.Printf("recorded: %d ops, %d cycles, IPC=%.4f (%.1f Mops/s detailed)\n",

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -41,7 +42,8 @@ func main() {
 
 	spec, err := pgss.Benchmark(*bench)
 	check(err)
-	prof, err := pgss.Record(spec, *ops)
+	ctx := context.Background()
+	prof, err := pgss.Record(ctx, spec, *ops, pgss.DefaultCoreConfig())
 	check(err)
 	fmt.Printf("%s: %d ops, true IPC %.4f\n", prof.Benchmark, prof.TotalOps, prof.TrueIPC())
 
@@ -51,7 +53,7 @@ func main() {
 		check(err)
 		show(res)
 	case "smarts":
-		res, err := pgss.RunSMARTS(prof, pgss.DefaultSMARTSConfig(*scale))
+		res, err := pgss.RunSMARTS(pgss.NewTarget(prof), pgss.DefaultSMARTSConfig(*scale))
 		check(err)
 		show(res)
 	case "turbosmarts":
@@ -83,7 +85,7 @@ func main() {
 		}
 		cfg.Trace = *trace > 0
 		cfg.GuardTransitions = *guard
-		res, st, err := pgss.RunPGSS(prof, cfg)
+		res, st, err := pgss.RunPGSS(ctx, pgss.NewTarget(prof), cfg)
 		check(err)
 		show(res)
 		fmt.Printf("phases=%d transitions=%d taken=%d skipped=%d deferred=%d unsampled_ops=%d\n",
@@ -128,7 +130,7 @@ func main() {
 		show(res)
 	case "adaptive":
 		cfg := pgss.DefaultAdaptiveConfig(*scale)
-		res, ast, err := pgss.RunAdaptivePGSS(prof, cfg)
+		res, ast, err := pgss.RunAdaptivePGSS(ctx, pgss.NewTarget(prof), cfg)
 		check(err)
 		show(res)
 		fmt.Printf("final parameters: FF=%d ops, threshold .%03dπ (%d restarts)\n",

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -70,7 +71,7 @@ func main() {
 	replayDur := time.Since(t0)
 
 	// Truth on the same core model.
-	truth, err := pgss.RecordWithCore(spec, *ops, cc)
+	truth, err := pgss.Record(context.Background(), spec, *ops, cc)
 	check(err)
 	errPct := abs(est-truth.TrueIPC()) / truth.TrueIPC() * 100
 	fmt.Printf("\ntrace-driven estimate (%s core): %.4f in %v\n", *model, est, replayDur.Round(time.Millisecond))

@@ -1,6 +1,7 @@
 package pgss_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 
@@ -11,17 +12,18 @@ import (
 // pass of a built-in benchmark as the ground truth, then estimate its IPC
 // with PGSS-Sim and check the estimate lands within the paper's regime.
 func ExampleRunPGSS() {
+	ctx := context.Background()
 	spec, err := pgss.Benchmark("164.gzip")
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	prof, err := pgss.Record(spec, 2_000_000)
+	prof, err := pgss.Record(ctx, spec, 2_000_000, pgss.DefaultCoreConfig())
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	res, st, err := pgss.RunPGSS(prof, pgss.DefaultPGSSConfig(pgss.DefaultScale))
+	res, st, err := pgss.RunPGSS(ctx, pgss.NewTarget(prof), pgss.DefaultPGSSConfig(pgss.DefaultScale))
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -39,23 +41,24 @@ func ExampleRunPGSS() {
 // its core guarantee: for any shard/worker layout the Result is
 // bit-identical to the serial engine's.
 func ExampleRunPGSSParallel() {
+	ctx := context.Background()
 	spec, err := pgss.Benchmark("164.gzip")
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	prof, err := pgss.Record(spec, 2_000_000)
+	prof, err := pgss.Record(ctx, spec, 2_000_000, pgss.DefaultCoreConfig())
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
 	cfg := pgss.DefaultPGSSConfig(pgss.DefaultScale)
-	serial, serialStats, err := pgss.RunPGSS(prof, cfg)
+	serial, serialStats, err := pgss.RunPGSS(ctx, pgss.NewTarget(prof), cfg)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	par, parStats, err := pgss.RunPGSSParallel(prof, cfg, pgss.ParallelOptions{Shards: 4, SampleWorkers: 4})
+	par, parStats, err := pgss.RunPGSSParallel(ctx, pgss.NewSource(prof), cfg, pgss.ParallelOptions{Shards: 4, SampleWorkers: 4})
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -20,7 +21,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof, err := pgss.Record(spec, *ops)
+	ctx := context.Background()
+	prof, err := pgss.Record(ctx, spec, *ops, pgss.DefaultCoreConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,11 +39,11 @@ func main() {
 	}
 
 	const scale = pgss.DefaultScale
-	show(pgss.RunSMARTS(prof, pgss.DefaultSMARTSConfig(scale)))
+	show(pgss.RunSMARTS(pgss.NewTarget(prof), pgss.DefaultSMARTSConfig(scale)))
 	show(pgss.RunTurboSMARTS(prof, pgss.DefaultTurboSMARTSConfig(scale)))
 	show(pgss.RunSimPoint(prof, pgss.SimPointConfig{IntervalOps: 1_000_000, K: 10, Seed: 1, Restarts: 3}))
 	show(pgss.RunOnlineSimPoint(prof, pgss.OnlineSimPointConfig{IntervalOps: 1_000_000, ThresholdPi: 0.10}))
-	res, st, err := pgss.RunPGSS(prof, pgss.DefaultPGSSConfig(scale))
+	res, st, err := pgss.RunPGSS(ctx, pgss.NewTarget(prof), pgss.DefaultPGSSConfig(scale))
 	show(res, err)
 	fmt.Printf("\nPGSS detail: %d phases, %d spread-rule deferrals, %d windows already in bounds\n",
 		st.Phases, st.SpreadDeferrals, st.SamplesSkipped)

@@ -6,6 +6,8 @@
 package main
 
 import (
+	"context"
+	"flag"
 	"fmt"
 	"log"
 	"math/rand"
@@ -14,6 +16,9 @@ import (
 )
 
 func main() {
+	ops := flag.Uint64("ops", 0, "program length in ops (0 = the spec's 25M default)")
+	flag.Parse()
+
 	// A made-up "database" workload: scans, probes, and planning bursts.
 	spec := &pgss.WorkloadSpec{
 		Name: "900.mydb",
@@ -37,13 +42,14 @@ func main() {
 		Seed:       900,
 	}
 
-	prof, err := pgss.Record(spec, 0)
+	ctx := context.Background()
+	prof, err := pgss.Record(ctx, spec, *ops, pgss.DefaultCoreConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s: %d ops, true IPC %.4f\n", prof.Benchmark, prof.TotalOps, prof.TrueIPC())
 
-	res, st, err := pgss.RunPGSS(prof, pgss.DefaultPGSSConfig(pgss.DefaultScale))
+	res, st, err := pgss.RunPGSS(ctx, pgss.NewTarget(prof), pgss.DefaultPGSSConfig(pgss.DefaultScale))
 	if err != nil {
 		log.Fatal(err)
 	}

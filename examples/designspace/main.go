@@ -7,6 +7,8 @@
 package main
 
 import (
+	"context"
+	"flag"
 	"fmt"
 	"log"
 	"time"
@@ -15,14 +17,17 @@ import (
 )
 
 func main() {
+	ops := flag.Uint64("ops", 20_000_000, "program length in ops per design")
+	flag.Parse()
+
 	spec, err := pgss.Benchmark("183.equake")
 	if err != nil {
 		log.Fatal(err)
 	}
-	const ops = 20_000_000
+	ctx := context.Background()
 
 	l2Sizes := []int{256 << 10, 512 << 10, 1 << 20, 2 << 20}
-	fmt.Printf("L2 design sweep on %s (%d ops per design)\n\n", spec.Name, ops)
+	fmt.Printf("L2 design sweep on %s (%d ops per design)\n\n", spec.Name, *ops)
 	fmt.Printf("%-8s %10s %10s %8s %16s %12s %12s\n",
 		"L2", "true_IPC", "PGSS_IPC", "err", "detailed(ops)", "full_time", "pgss_time")
 
@@ -38,7 +43,7 @@ func main() {
 
 		// Ground truth: full detailed simulation of this design.
 		t0 := time.Now()
-		prof, err := pgss.RecordWithCore(spec, ops, cc)
+		prof, err := pgss.Record(ctx, spec, *ops, cc)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -46,7 +51,7 @@ func main() {
 
 		// PGSS live: a fresh simulation driven by the PGSS controller —
 		// mostly functional warming, detailed only where phases demand it.
-		prog, err := spec.Build(ops)
+		prog, err := spec.Build(*ops)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,7 +60,7 @@ func main() {
 			log.Fatal(err)
 		}
 		t0 = time.Now()
-		res, _, err := pgss.RunPGSSOn(target, pgss.DefaultPGSSConfig(pgss.DefaultScale))
+		res, _, err := pgss.RunPGSS(ctx, target, pgss.DefaultPGSSConfig(pgss.DefaultScale))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -33,7 +34,7 @@ func main() {
 	}
 
 	// Ground truth for comparison.
-	truth, err := pgss.Record(spec, *ops)
+	truth, err := pgss.Record(context.Background(), spec, *ops, pgss.DefaultCoreConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -13,9 +14,7 @@ import (
 	"pgss"
 	"pgss/internal/bbv"
 	"pgss/internal/cmp"
-	"pgss/internal/core"
 	"pgss/internal/program"
-	"pgss/internal/sampling"
 )
 
 func main() {
@@ -37,10 +36,11 @@ func main() {
 	}
 
 	// Solo baselines: each benchmark alone on the machine.
+	ctx := context.Background()
 	solo := map[string]float64{}
 	for _, name := range []string{*benchA, *benchB} {
 		spec, _ := pgss.Benchmark(name)
-		prof, err := pgss.Record(spec, *ops)
+		prof, err := pgss.Record(ctx, spec, *ops, pgss.DefaultCoreConfig())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,9 +61,9 @@ func main() {
 	fmt.Printf("two-core CMP, shared 1 MB L2 (%d ops per core)\n\n", *ops)
 	fmt.Printf("%-6s %-14s %10s %10s %10s %12s %8s %14s\n",
 		"core", "benchmark", "solo_IPC", "corun_IPC", "slowdown", "PGSS_IPC", "err", "detailed(ops)")
-	cfg := core.DefaultConfig(pgss.DefaultScale)
+	cfg := pgss.DefaultPGSSConfig(pgss.DefaultScale)
 	for i, prof := range profs {
-		res, _, err := core.Run(sampling.NewProfileTarget(prof), cfg)
+		res, _, err := pgss.RunPGSS(ctx, pgss.NewTarget(prof), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

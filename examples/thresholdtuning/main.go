@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -20,7 +21,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof, err := pgss.Record(spec, *ops)
+	ctx := context.Background()
+	prof, err := pgss.Record(ctx, spec, *ops, pgss.DefaultCoreConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +35,7 @@ func main() {
 	for _, th := range []float64{0.025, 0.05, 0.10, 0.15, 0.20, 0.25, 0.35, 0.50} {
 		cfg := base
 		cfg.ThresholdPi = th
-		res, st, err := pgss.RunPGSS(prof, cfg)
+		res, st, err := pgss.RunPGSS(ctx, pgss.NewTarget(prof), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

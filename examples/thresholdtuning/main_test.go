@@ -1,0 +1,13 @@
+package main
+
+import (
+	"os"
+	"testing"
+)
+
+// TestEndToEnd runs the example at a small size; any failure exits the
+// test binary non-zero.
+func TestEndToEnd(t *testing.T) {
+	os.Args = []string{"thresholdtuning", "-ops", "2000000"}
+	main()
+}

@@ -144,7 +144,7 @@ func fixtureProfiles() (map[string]*profile.Profile, error) {
 				fixtureErr = err
 				return
 			}
-			p, err := profile.Record(c, bbv.MustNewHash(5, 42), profile.DefaultConfig())
+			p, err := profile.RecordContext(context.Background(), c, bbv.MustNewHash(5, 42), profile.DefaultConfig())
 			if err != nil {
 				fixtureErr = err
 				return

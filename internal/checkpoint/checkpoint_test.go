@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -149,7 +150,7 @@ func TestRandomOrderSamplesMatchProfile(t *testing.T) {
 	const ops = 1_000_000
 	// Ground truth profile.
 	cRec, _ := newCore(t, "197.parser", ops)
-	prof, err := profile.Record(cRec, bbv.MustNewHash(5, 42), profile.DefaultConfig())
+	prof, err := profile.RecordContext(context.Background(), cRec, bbv.MustNewHash(5, 42), profile.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

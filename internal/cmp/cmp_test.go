@@ -1,6 +1,7 @@
 package cmp
 
 import (
+	"context"
 	"testing"
 
 	"pgss/internal/bbv"
@@ -32,7 +33,7 @@ func soloProfile(t *testing.T, name string, ops uint64) *profile.Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := profile.Record(c, bbv.MustNewHash(5, 42), profile.DefaultConfig())
+	p, err := profile.RecordContext(context.Background(), c, bbv.MustNewHash(5, 42), profile.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestPGSSPerCore(t *testing.T) {
 	cfg.FFOps = 50_000
 	cfg.SpreadOps = 50_000
 	for i, p := range profs {
-		res, _, err := core.Run(sampling.NewProfileTarget(p), cfg)
+		res, _, err := core.RunContext(context.Background(), sampling.NewProfileTarget(p), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,14 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
-	"pgss/internal/bbv"
 	"pgss/internal/pgsserrors"
 	"pgss/internal/phase"
 	"pgss/internal/sampling"
-	"pgss/internal/stats"
 )
 
 // AdaptiveConfig parameterises the runtime-adaptive PGSS variant the paper
@@ -96,52 +95,43 @@ type AdaptiveStats struct {
 	Restarts int
 }
 
-// RunAdaptive executes the adaptive PGSS variant over the target.
+// RunAdaptive executes the adaptive PGSS variant over the target. The
+// context is polled once per window; a cancelled or expired context aborts
+// the run with an ErrBudgetExceeded-classed error and the partial result,
+// as RunContext does.
 //
-// When the FF period changes, the phase table restarts: BBVs at the old
-// granularity are not comparable to those at the new one. Accumulated
-// phase weights and samples are preserved in a retired estimator so the
-// final estimate still covers the whole run: each retired table contributes
-// its ops-weighted CPI for the span it observed.
-func RunAdaptive(t sampling.Target, cfg AdaptiveConfig) (sampling.Result, AdaptiveStats, error) {
+// The per-window decisions, the sample ledger and the estimate are the
+// shared Controller's; this driver settles every sample right after each
+// Advance so its epoch signals read up-to-date phase statistics. When the
+// FF period changes, the controller restarts its phase table: BBVs at the
+// old granularity are not comparable to those at the new one. The retired
+// tables keep their phase weights and samples, so the final estimate still
+// covers the whole run.
+//
+// The variant stays on the serial driver: it changes the FF period
+// mid-run, and the sharded engine computes a fixed window grid up front.
+func RunAdaptive(ctx context.Context, t sampling.Target, cfg AdaptiveConfig) (sampling.Result, AdaptiveStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return sampling.Result{}, AdaptiveStats{}, err
 	}
 	cur := cfg.Base
-	res := sampling.Result{
-		Technique: "PGSS-Adaptive",
-		Config:    cur.String(),
-		Benchmark: t.Benchmark(),
-		TrueIPC:   t.TrueIPC(),
+	ctl, err := NewController(cur, t.Benchmark(), t.TrueIPC())
+	if err != nil {
+		return sampling.Result{}, AdaptiveStats{}, err
 	}
 	var ast AdaptiveStats
-
-	z := stats.ConfidenceZ(cur.Confidence)
-	needsSample := func(p *phase.Phase) bool {
-		return !p.CPI.WithinBound(cur.Eps, z, cur.MinSamples)
+	finish := func(res sampling.Result, st Stats, err error) (sampling.Result, AdaptiveStats, error) {
+		res.Technique = "PGSS-Adaptive"
+		res.Config = fmt.Sprintf("adaptive→%s", cur.String())
+		ast.Stats = st
+		ast.FinalThresholdPi = cur.ThresholdPi
+		ast.FinalFFOps = cur.FFOps
+		return res, ast, err
 	}
-
-	// Retired-estimator accumulators: ops-weighted CPI of completed spans.
-	var retiredCPIWeight, retiredOps float64
-	var unsampledOps uint64
-	retire := func(table *phase.Table) {
-		for _, p := range table.Phases() {
-			if p.CPI.N() == 0 {
-				unsampledOps += p.Ops
-				continue
-			}
-			retiredCPIWeight += float64(p.Ops) * p.CPI.Mean()
-			retiredOps += float64(p.Ops)
-		}
-		ast.Phases += table.NumPhases()
-		ast.Transitions += table.Transitions
-		ast.Comparisons += table.Comparisons
+	fail := func(err error) (sampling.Result, AdaptiveStats, error) {
+		res, st := ctl.Partial()
+		return finish(res, st, err)
 	}
-
-	table := phase.MustNewTable(cur.ThresholdPi * math.Pi)
-	var scheduled *phase.Phase
-	var sigScratch bbv.Vector
-	windowIdx := 0
 
 	// Epoch signals.
 	epochWindows, epochTransitions, epochFalse, epochChanges := 0, 0, 0, 0
@@ -153,20 +143,24 @@ func RunAdaptive(t sampling.Target, cfg AdaptiveConfig) (sampling.Result, Adapti
 	// coarser BBV period helps.
 	stubbornN := 4 * cur.MinSamples
 	stubborn := func() bool {
-		for _, p := range table.Phases() {
-			if p.CPI.N() >= stubbornN && needsSample(p) {
+		for _, p := range ctl.table.Phases() {
+			if p.CPI.N() >= stubbornN && ctl.needsSample(p) {
 				return true
 			}
 		}
 		return false
 	}
 
-	adjust := func() {
+	// req is the sample the previous window scheduled; it executes at the
+	// start of the next window.
+	var req *SampleRequest
+	adjust := func() error {
 		churn := float64(epochTransitions) / float64(epochWindows)
 		falseRate := 0.0
 		if epochChanges > 0 {
 			falseRate = float64(epochFalse) / float64(epochChanges)
 		}
+		epochWindows, epochTransitions, epochFalse, epochChanges = 0, 0, 0, 0
 		switch {
 		case (churn > cfg.ChurnHigh || stubborn()) && cur.FFOps*2 <= cfg.MaxFFOps:
 			// Micro-phase mixing: coarsen the BBV period (restart table).
@@ -175,101 +169,75 @@ func RunAdaptive(t sampling.Target, cfg AdaptiveConfig) (sampling.Result, Adapti
 				cur.SpreadOps = cur.FFOps
 			}
 			ast.Adjustments = append(ast.Adjustments,
-				fmt.Sprintf("window %d: churn %.2f → FF period ×2 = %d", windowIdx, churn, cur.FFOps))
-			retire(table)
-			table = phase.MustNewTable(cur.ThresholdPi * math.Pi)
-			scheduled = nil
+				fmt.Sprintf("window %d: churn %.2f → FF period ×2 = %d", ctl.Windows(), churn, cur.FFOps))
 			ast.Restarts++
+			req = nil
+			return ctl.Restart(cur)
 		case falseRate > 0.5 && cur.ThresholdPi*cfg.ThresholdStep <= cfg.ThresholdMax:
 			// Too many performance-neutral phase changes: raise the
 			// threshold. The existing table remains valid — a looser
 			// threshold only merges future windows.
 			cur.ThresholdPi *= cfg.ThresholdStep
-			table.SetThreshold(cur.ThresholdPi * math.Pi)
+			ctl.table.SetThreshold(cur.ThresholdPi * math.Pi)
 			ast.Adjustments = append(ast.Adjustments,
-				fmt.Sprintf("window %d: false-phase rate %.2f → threshold %.3fπ", windowIdx, falseRate, cur.ThresholdPi))
+				fmt.Sprintf("window %d: false-phase rate %.2f → threshold %.3fπ", ctl.Windows(), falseRate, cur.ThresholdPi))
 		}
-		epochWindows, epochTransitions, epochFalse, epochChanges = 0, 0, 0, 0
+		return nil
 	}
 
 	for {
+		if err := ctx.Err(); err != nil {
+			return fail(fmt.Errorf("pgss: %s cancelled after %d windows: %w (%w)",
+				t.Benchmark(), ctl.Windows(), pgsserrors.ErrBudgetExceeded, err))
+		}
 		var warm, sample uint64
-		if scheduled != nil {
-			warm, sample = cur.WarmOps, cur.SampleOps
+		var sampled *phase.Phase // phase the executing sample is attributed to
+		if req != nil {
+			warm, sample, sampled = req.Warm, req.Sample, req.ps.phase
 		}
 		w, ok := t.NextWindow(cur.FFOps, warm, sample)
 		if !ok {
 			break
 		}
-		res.Costs.Detailed += w.SampleOps
-		res.Costs.DetailedWarm += w.WarmOps
-		res.Costs.FunctionalWarm += w.Ops - w.SampleOps - w.WarmOps
+		if req != nil {
+			req.Resolve(w.SampleIPC, w.WarmOps, w.SampleOps)
+		}
+		firstSample := sampled != nil && sampled.CPI.N() == 0
+		prev, known := ctl.table.Current(), ctl.table.NumPhases()
+		if req, err = ctl.Advance(w.BBV, w.MAV, w.Ops, t.Pos()); err == nil {
+			err = ctl.SettleAll()
+		}
+		if err != nil {
+			return fail(err)
+		}
 
-		if scheduled != nil {
-			if !math.IsNaN(w.SampleIPC) && w.SampleIPC > 0 {
-				cpi := 1 / w.SampleIPC
-				scheduled.CPI.Add(cpi)
-				scheduled.LastSampleOp = t.Pos()
-				scheduled.HasSample = true
-				res.Samples++
-				ast.SamplesTaken++
-				// False-phase signal: a *new* phase whose first sample sits
-				// within Eps of another phase's converged mean.
-				if scheduled.CPI.N() == 1 {
-					for _, p := range table.Phases() {
-						if p != scheduled && p.CPI.N() >= cur.MinSamples &&
-							math.Abs(p.CPI.Mean()-cpi) <= cur.Eps*p.CPI.Mean() {
-							epochFalse++
-							break
-						}
-					}
+		// False-phase signal: a *new* phase whose first sample sits within
+		// Eps of another phase's converged mean.
+		if firstSample && sampled.CPI.N() == 1 {
+			cpi := 1 / w.SampleIPC
+			for _, p := range ctl.table.Phases() {
+				if p != sampled && p.CPI.N() >= cur.MinSamples &&
+					math.Abs(p.CPI.Mean()-cpi) <= cur.Eps*p.CPI.Mean() {
+					epochFalse++
+					break
 				}
 			}
-			scheduled = nil
 		}
-
-		sig, sc, err := bbv.Signature(cur.Channel, w.BBV, w.MAV, sigScratch)
-		sigScratch = sc
-		if err != nil {
-			return res, ast, err
-		}
-		p, isNew, changed := table.Classify(sig, w.Ops, windowIdx)
-		windowIdx++
 		epochWindows++
-		if changed || isNew {
+		if ctl.table.Current() != prev {
 			epochTransitions++
-			if isNew {
+			if ctl.table.NumPhases() > known {
 				epochChanges++
 			}
 		}
-
-		if needsSample(p) {
-			if !p.HasSample || t.Pos()-p.LastSampleOp >= cur.SpreadOps {
-				scheduled = p
-			} else {
-				ast.SpreadDeferrals++
-			}
-		} else {
-			ast.SamplesSkipped++
-		}
-
 		if epochWindows >= cfg.EpochWindows {
-			adjust()
+			if err := adjust(); err != nil {
+				return fail(err)
+			}
 		}
 	}
 	if err := t.Err(); err != nil {
-		return res, ast, err
+		return fail(err)
 	}
-	table.FinishRun()
-	retire(table)
-
-	if retiredOps > 0 && retiredCPIWeight > 0 {
-		res.EstimatedIPC = retiredOps / retiredCPIWeight
-	}
-	ast.UnsampledOps = unsampledOps
-	ast.FinalThresholdPi = cur.ThresholdPi
-	ast.FinalFFOps = cur.FFOps
-	res.Phases = ast.Phases
-	res.Config = fmt.Sprintf("adaptive→%s", cur.String())
-	return res, ast, nil
+	return finish(ctl.Finish())
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"pgss/internal/pgsserrors"
 	"pgss/internal/sampling"
 )
 
@@ -35,7 +38,7 @@ func TestAdaptiveOnStableBenchmark(t *testing.T) {
 	// least as accurate as the fixed overall configuration and not blow up
 	// the sample count.
 	p := suiteProfile(t, "188.ammp", 20_000_000)
-	res, ast, err := RunAdaptive(sampling.NewProfileTarget(p), DefaultAdaptiveConfig(10))
+	res, ast, err := RunAdaptive(context.Background(), sampling.NewProfileTarget(p), DefaultAdaptiveConfig(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +62,7 @@ func TestAdaptiveCoarsensOnMicroPhases(t *testing.T) {
 	cfg.Base.FFOps = 10_000 // start deliberately too fine
 	cfg.Base.SpreadOps = 10_000
 	cfg.MaxFFOps = 1_600_000
-	res, ast, err := RunAdaptive(sampling.NewProfileTarget(p), cfg)
+	res, ast, err := RunAdaptive(context.Background(), sampling.NewProfileTarget(p), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,15 +78,34 @@ func TestAdaptiveCoarsensOnMicroPhases(t *testing.T) {
 	if !coarsened {
 		t.Errorf("no FF-period adjustment recorded: %v", ast.Adjustments)
 	}
+	// Every phase table the run used, retired ones included, reports its
+	// phases.
+	if ast.Restarts == 0 || ast.Phases != len(ast.PhaseDiags) || ast.Phases != len(ast.PerPhaseSamples) {
+		t.Errorf("restarts %d, phases %d, diags %d, per-phase samples %d",
+			ast.Restarts, ast.Phases, len(ast.PhaseDiags), len(ast.PerPhaseSamples))
+	}
 	// And it must not be less accurate than staying at the too-fine
 	// period (at this short profile length art is hard for everything;
 	// what matters is that adaptation does not hurt).
-	fixed, _, err := Run(sampling.NewProfileTarget(p), cfg.Base)
+	fixed, _, err := RunContext(context.Background(), sampling.NewProfileTarget(p), cfg.Base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ErrorPct() > fixed.ErrorPct()*1.2 {
 		t.Errorf("adaptive error %.2f%% vs fixed %.2f%%", res.ErrorPct(), fixed.ErrorPct())
+	}
+}
+
+func TestAdaptiveCancelled(t *testing.T) {
+	p := suiteProfile(t, "188.ammp", 20_000_000)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, _, err := RunAdaptive(ctx, sampling.NewProfileTarget(p), DefaultAdaptiveConfig(10))
+	if !errors.Is(err, pgsserrors.ErrBudgetExceeded) {
+		t.Fatalf("cancelled run: got %v, want ErrBudgetExceeded", err)
+	}
+	if res.Technique != "PGSS-Adaptive" || res.Benchmark != p.Benchmark {
+		t.Errorf("partial result not labelled: %v", res)
 	}
 }
 
@@ -94,14 +116,14 @@ func TestAdaptiveVsFixedOnPathologicalStart(t *testing.T) {
 	fixed := DefaultConfig(10)
 	fixed.FFOps = 10_000
 	fixed.SpreadOps = 10_000
-	rFixed, _, err := Run(sampling.NewProfileTarget(p), fixed)
+	rFixed, _, err := RunContext(context.Background(), sampling.NewProfileTarget(p), fixed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	acfg := DefaultAdaptiveConfig(10)
 	acfg.Base = fixed
 	acfg.MaxFFOps = 1_600_000
-	rAdaptive, _, err := RunAdaptive(sampling.NewProfileTarget(p), acfg)
+	rAdaptive, _, err := RunAdaptive(context.Background(), sampling.NewProfileTarget(p), acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,12 +138,12 @@ func TestTransitionGuardReducesPoisoning(t *testing.T) {
 	// some samples and not be less accurate than unguarded.
 	p := suiteProfile(t, "253.perlbmk", 20_000_000)
 	cfg := testConfig()
-	unguarded, _, err := Run(sampling.NewProfileTarget(p), cfg)
+	unguarded, _, err := RunContext(context.Background(), sampling.NewProfileTarget(p), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.GuardTransitions = true
-	guarded, st, err := Run(sampling.NewProfileTarget(p), cfg)
+	guarded, st, err := RunContext(context.Background(), sampling.NewProfileTarget(p), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +159,7 @@ func TestGuardedSamplesNotCounted(t *testing.T) {
 	cfg := testConfig()
 	cfg.GuardTransitions = true
 	cfg.Trace = true
-	res, st, err := Run(sampling.NewProfileTarget(p), cfg)
+	res, st, err := RunContext(context.Background(), sampling.NewProfileTarget(p), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,6 +34,9 @@ type Controller struct {
 
 	table *phase.Table
 	z     float64
+	// retired holds the phase tables Restart replaced, in order; Finish
+	// estimates over them and the final table together.
+	retired []*phase.Table
 
 	windowIdx int
 
@@ -167,23 +170,47 @@ func NewController(cfg Config, benchmark string, trueIPC float64) (*Controller, 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	table := phase.MustNewTable(cfg.ThresholdPi * math.Pi)
-	table.CheckCurrentFirst = !cfg.NoCurrentFirst
-	table.Manhattan = cfg.Manhattan
 	c := &Controller{
-		cfg: cfg,
 		res: sampling.Result{
 			Technique: "PGSS",
 			Config:    cfg.String(),
 			Benchmark: benchmark,
 			TrueIPC:   trueIPC,
 		},
-		table:   table,
-		z:       stats.ConfidenceZ(cfg.Confidence),
 		pending: map[int][]*pendingSample{},
 	}
 	c.cond.L = &c.mu
+	c.configure(cfg)
 	return c, nil
+}
+
+// configure installs cfg and starts a fresh phase table under it.
+func (c *Controller) configure(cfg Config) {
+	c.cfg = cfg
+	c.z = stats.ConfidenceZ(cfg.Confidence)
+	c.table = phase.MustNewTable(cfg.ThresholdPi * math.Pi)
+	c.table.CheckCurrentFirst = !cfg.NoCurrentFirst
+	c.table.Manhattan = cfg.Manhattan
+}
+
+// Restart settles every outstanding sample, retires the phase table into
+// the final estimate and ledgers, drops the in-flight sample (the driver
+// must not execute the request the last Advance returned) and continues
+// under cfg with an empty table. The adaptive variant restarts whenever it
+// changes the FF period: signatures at different granularities are not
+// comparable, but the retired table's phases still weigh in the estimate
+// for the span they observed.
+func (c *Controller) Restart(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if err := c.SettleAll(); err != nil {
+		return err
+	}
+	c.inflight = nil
+	c.retired = append(c.retired, c.table)
+	c.configure(cfg)
+	return nil
 }
 
 // Windows returns the number of windows consumed so far.
@@ -297,45 +324,61 @@ func (c *Controller) Advance(v, mav bbv.Vector, ops, posAfter uint64) (*SampleRe
 	return req, nil
 }
 
-// Finish settles all outstanding samples, drops the never-executed
-// trailing request (the program ended first), and computes the estimate:
-// whole-program CPI is the ops-weighted mean of per-phase sample-mean
-// CPIs; IPC is its reciprocal. Phases that ended without any sample
-// contribute no estimate; their weight is excluded and reported.
-func (c *Controller) Finish() (sampling.Result, Stats, error) {
-	c.inflight = nil
+// SettleAll waits for and settles every adopted sample, so every phase's
+// sample statistics are current. A driver that reads the phase table
+// between windows (the adaptive variant) calls it after each Advance; the
+// in-flight sample of the last Advance is not adopted yet and stays out.
+func (c *Controller) SettleAll() error {
 	for _, ps := range c.order {
 		if ps.settled {
 			continue
 		}
 		if err := c.wait(ps); err != nil {
-			return c.res, c.st, err
+			return err
 		}
 		c.settle(ps)
+	}
+	c.order = c.order[:0]
+	clear(c.pending)
+	return nil
+}
+
+// Finish settles all outstanding samples, drops the never-executed
+// trailing request (the program ended first), and computes the estimate:
+// whole-program CPI is the ops-weighted mean of per-phase sample-mean
+// CPIs over every table the run used (retired ones first, in order); IPC
+// is its reciprocal. Phases that ended without any sample contribute no
+// estimate; their weight is excluded and reported.
+func (c *Controller) Finish() (sampling.Result, Stats, error) {
+	c.inflight = nil
+	if err := c.SettleAll(); err != nil {
+		return c.res, c.st, err
 	}
 	c.table.FinishRun()
 
 	var weightedCPI, totalW float64
-	for _, p := range c.table.Phases() {
-		c.st.PerPhaseSamples = append(c.st.PerPhaseSamples, p.CPI.N())
-		c.st.PhaseDiags = append(c.st.PhaseDiags, PhaseDiag{
-			ID: p.ID, Intervals: p.Intervals, Ops: p.Ops,
-			Samples: p.CPI.N(), MeanCPI: p.CPI.Mean(), CVCPI: p.CPI.CV(),
-		})
-		if p.CPI.N() == 0 {
-			c.st.UnsampledOps += p.Ops
-			continue
+	for _, t := range append(c.retired, c.table) {
+		for _, p := range t.Phases() {
+			c.st.PerPhaseSamples = append(c.st.PerPhaseSamples, p.CPI.N())
+			c.st.PhaseDiags = append(c.st.PhaseDiags, PhaseDiag{
+				ID: p.ID, Intervals: p.Intervals, Ops: p.Ops,
+				Samples: p.CPI.N(), MeanCPI: p.CPI.Mean(), CVCPI: p.CPI.CV(),
+			})
+			if p.CPI.N() == 0 {
+				c.st.UnsampledOps += p.Ops
+				continue
+			}
+			weightedCPI += float64(p.Ops) * p.CPI.Mean()
+			totalW += float64(p.Ops)
 		}
-		weightedCPI += float64(p.Ops) * p.CPI.Mean()
-		totalW += float64(p.Ops)
+		c.st.Phases += t.NumPhases()
+		c.st.Transitions += t.Transitions
+		c.st.Comparisons += t.Comparisons
 	}
 	if totalW > 0 && weightedCPI > 0 {
 		c.res.EstimatedIPC = totalW / weightedCPI
 	}
-	c.res.Phases = c.table.NumPhases()
-	c.st.Phases = c.table.NumPhases()
-	c.st.Transitions = c.table.Transitions
-	c.st.Comparisons = c.table.Comparisons
+	c.res.Phases = c.st.Phases
 
 	// Samples settle in drain order, which may differ from execution
 	// order; positions are unique and strictly increasing in the serial

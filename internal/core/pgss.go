@@ -23,6 +23,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"pgss/internal/bbv"
@@ -179,11 +180,6 @@ func recordSample(p *phase.Phase, cpi float64, pos uint64, cfg Config, res *samp
 	}
 }
 
-// Run executes PGSS-Sim over the target.
-func Run(t sampling.Target, cfg Config) (sampling.Result, Stats, error) {
-	return RunContext(context.Background(), t, cfg)
-}
-
 // RunContext executes PGSS-Sim over the target with cooperative
 // cancellation: the context is polled once per fast-forward window, and a
 // cancelled or expired context aborts the run with an
@@ -253,10 +249,14 @@ func Sweep(scale uint64) []Config {
 }
 
 // Best runs every configuration and returns the lowest-error result (the
-// "PGSS(best)" series of Fig 12) plus all results.
-func Best(t func() sampling.Target, sweep []Config) (best sampling.Result, all []sampling.Result, err error) {
+// "PGSS(best)" series of Fig 12) plus all results. Configurations that fail
+// are skipped, except when the context stops the sweep.
+func Best(ctx context.Context, t func() sampling.Target, sweep []Config) (best sampling.Result, all []sampling.Result, err error) {
 	for _, cfg := range sweep {
-		r, _, e := Run(t(), cfg)
+		r, _, e := RunContext(ctx, t(), cfg)
+		if errors.Is(e, pgsserrors.ErrBudgetExceeded) {
+			return best, all, e
+		}
 		if e != nil {
 			continue
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -30,7 +31,7 @@ func suiteProfile(t *testing.T, name string, ops uint64) *profile.Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := profile.Record(c, bbv.MustNewHash(5, 42), profile.DefaultConfig())
+	p, err := profile.RecordContext(context.Background(), c, bbv.MustNewHash(5, 42), profile.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestPGSSAccuracyOnPhasedBenchmark(t *testing.T) {
 	p := suiteProfile(t, "188.ammp", 20_000_000)
-	res, st, err := Run(sampling.NewProfileTarget(p), testConfig())
+	res, st, err := RunContext(context.Background(), sampling.NewProfileTarget(p), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestPGSSAccuracyOnPhasedBenchmark(t *testing.T) {
 
 func TestPGSSUsesFewerSamplesThanSMARTS(t *testing.T) {
 	p := suiteProfile(t, "188.ammp", 20_000_000)
-	res, _, err := Run(sampling.NewProfileTarget(p), testConfig())
+	res, _, err := RunContext(context.Background(), sampling.NewProfileTarget(p), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestStablePhaseStopsSampling(t *testing.T) {
 	// On a stable single-phase benchmark the confidence bound must close
 	// and sampling stop: far fewer samples than windows.
 	p := suiteProfile(t, "188.ammp", 20_000_000)
-	res, st, err := Run(sampling.NewProfileTarget(p), testConfig())
+	res, st, err := RunContext(context.Background(), sampling.NewProfileTarget(p), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestSpreadRuleDefers(t *testing.T) {
 	p := suiteProfile(t, "188.ammp", 20_000_000)
 	cfg := testConfig()
 	cfg.SpreadOps = 500_000 // large spread forces deferrals
-	_, st, err := Run(sampling.NewProfileTarget(p), cfg)
+	_, st, err := RunContext(context.Background(), sampling.NewProfileTarget(p), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestSpreadRuleDefers(t *testing.T) {
 		t.Error("large spread produced no deferrals")
 	}
 	cfg.DisableSpread = true
-	_, st2, err := Run(sampling.NewProfileTarget(p), cfg)
+	_, st2, err := RunContext(context.Background(), sampling.NewProfileTarget(p), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestThresholdControlsPhaseCount(t *testing.T) {
 	for _, th := range []float64{0.01, 0.25, 0.5} {
 		cfg := testConfig()
 		cfg.ThresholdPi = th
-		_, st, err := Run(sampling.NewProfileTarget(p), cfg)
+		_, st, err := RunContext(context.Background(), sampling.NewProfileTarget(p), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,8 +173,8 @@ func TestThresholdControlsPhaseCount(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	p := suiteProfile(t, "188.ammp", 20_000_000)
-	r1, s1, _ := Run(sampling.NewProfileTarget(p), testConfig())
-	r2, s2, _ := Run(sampling.NewProfileTarget(p), testConfig())
+	r1, s1, _ := RunContext(context.Background(), sampling.NewProfileTarget(p), testConfig())
+	r2, s2, _ := RunContext(context.Background(), sampling.NewProfileTarget(p), testConfig())
 	if r1.EstimatedIPC != r2.EstimatedIPC || s1.SamplesTaken != s2.SamplesTaken {
 		t.Error("PGSS runs are not deterministic")
 	}
@@ -184,7 +185,7 @@ func TestDisableConfidenceFixedBudget(t *testing.T) {
 	cfg := testConfig()
 	cfg.DisableConfidence = true
 	cfg.MinSamples = 3
-	_, st, err := Run(sampling.NewProfileTarget(p), cfg)
+	_, st, err := RunContext(context.Background(), sampling.NewProfileTarget(p), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestTraceRecordsSamples(t *testing.T) {
 	p := suiteProfile(t, "188.ammp", 20_000_000)
 	cfg := testConfig()
 	cfg.Trace = true
-	res, st, err := Run(sampling.NewProfileTarget(p), cfg)
+	res, st, err := RunContext(context.Background(), sampling.NewProfileTarget(p), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,12 +219,12 @@ func TestPerPhaseAdaptiveAllocation(t *testing.T) {
 	// art's micro-phase mixing creates unstable phases that must receive
 	// more samples than ammp's stable phases, per the paper's §3 claim.
 	art := suiteProfile(t, "179.art", 20_000_000)
-	_, stArt, err := Run(sampling.NewProfileTarget(art), testConfig())
+	_, stArt, err := RunContext(context.Background(), sampling.NewProfileTarget(art), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ammp := suiteProfile(t, "188.ammp", 20_000_000)
-	_, stAmmp, err := Run(sampling.NewProfileTarget(ammp), testConfig())
+	_, stAmmp, err := RunContext(context.Background(), sampling.NewProfileTarget(ammp), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestSweepGrid(t *testing.T) {
 func TestBestPicksMinimumError(t *testing.T) {
 	p := suiteProfile(t, "188.ammp", 20_000_000)
 	mk := func() sampling.Target { return sampling.NewProfileTarget(p) }
-	best, all, err := Best(mk, Sweep(10)[:6])
+	best, all, err := Best(context.Background(), mk, Sweep(10)[:6])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestEstimateIsCPIWeighted(t *testing.T) {
 	// Construct a synthetic profile replay through a fake target with two
 	// phases of known CPI and check the combined estimate.
 	p := suiteProfile(t, "168.wupwise", 25_000_000)
-	res, _, err := Run(sampling.NewProfileTarget(p), testConfig())
+	res, _, err := RunContext(context.Background(), sampling.NewProfileTarget(p), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,13 +294,13 @@ func TestEstimateIsCPIWeighted(t *testing.T) {
 
 func TestAblationFlagsChangeBehaviour(t *testing.T) {
 	p := suiteProfile(t, "253.perlbmk", 20_000_000)
-	base, stBase, err := Run(sampling.NewProfileTarget(p), testConfig())
+	base, stBase, err := RunContext(context.Background(), sampling.NewProfileTarget(p), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
 	cfg.NoCurrentFirst = true
-	_, stNoCF, err := Run(sampling.NewProfileTarget(p), cfg)
+	_, stNoCF, err := RunContext(context.Background(), sampling.NewProfileTarget(p), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestAblationFlagsChangeBehaviour(t *testing.T) {
 	cfgM := testConfig()
 	cfgM.Manhattan = true
 	cfgM.ThresholdPi = 0.15 // interpreted as L1 distance
-	resM, _, err := Run(sampling.NewProfileTarget(p), cfgM)
+	resM, _, err := RunContext(context.Background(), sampling.NewProfileTarget(p), cfgM)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func sweepStats(s *Suite, cfg core.Config) (errPct, samples, comparisons float64
 	}
 	var errs, ns, cs []float64
 	for _, p := range profiles {
-		res, st, e := core.Run(sampling.NewProfileTarget(p), cfg)
+		res, st, e := core.RunContext(s.ctx(), sampling.NewProfileTarget(p), cfg)
 		if e != nil {
 			return 0, 0, 0, e
 		}
@@ -166,7 +166,7 @@ func ablationHashBits(s *Suite, r *Report) error {
 			if err != nil {
 				return err
 			}
-			res, st, err := core.Run(sampling.NewProfileTarget(p), core.DefaultConfig(s.Scale()))
+			res, st, err := core.RunContext(s.ctx(), sampling.NewProfileTarget(p), core.DefaultConfig(s.Scale()))
 			if err != nil {
 				return err
 			}

@@ -82,7 +82,7 @@ func (s *Suite) CampaignRun(ctx context.Context, sp campaign.Spec) (sampling.Res
 			parallel.Options{Shards: s.opts.Shards, SampleWorkers: s.opts.SampleWorkers})
 		return res, err
 	case "PGSS-Adaptive":
-		res, _, err := core.RunAdaptive(sampling.NewProfileTarget(p), core.DefaultAdaptiveConfig(scale))
+		res, _, err := core.RunAdaptive(ctx, sampling.NewProfileTarget(p), core.DefaultAdaptiveConfig(scale))
 		return res, err
 	case "SMARTS":
 		return sampling.SMARTS(sampling.NewProfileTarget(p), sampling.DefaultSMARTSConfig(scale))

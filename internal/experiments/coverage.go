@@ -67,7 +67,7 @@ func Coverage(s *Suite) (*Report, error) {
 		"benchmark", "error", "within_3%")
 	pgssWithin := 0
 	for _, p := range profiles {
-		res, _, err := core.Run(sampling.NewProfileTarget(p), core.DefaultConfig(scale))
+		res, _, err := core.RunContext(s.ctx(), sampling.NewProfileTarget(p), core.DefaultConfig(scale))
 		if err != nil {
 			return nil, err
 		}

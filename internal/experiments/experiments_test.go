@@ -111,6 +111,25 @@ func TestSuiteRecordCancelled(t *testing.T) {
 	}
 }
 
+// TestFigureRunCancelled: once the suite context is cancelled, figures
+// whose PGSS runs would otherwise complete on already-resolved profiles
+// stop with a budget-classed error.
+func TestFigureRunCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	s := MustNewSuite(Options{
+		Scale: 10, TotalOps: 1_000_000, HashSeed: 42, Quiet: true, Context: ctx,
+	})
+	if _, err := s.PaperTen(); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	for _, id := range []string{"fig11", "fig12", "coverage", "extensions"} {
+		if _, err := Run(s, id); !errors.Is(err, pgsserrors.ErrBudgetExceeded) {
+			t.Errorf("%s under a cancelled context: got %v, want ErrBudgetExceeded", id, err)
+		}
+	}
+}
+
 func TestUnknownBenchmark(t *testing.T) {
 	s := testSuite(t)
 	if _, err := s.Profile("nope"); err == nil {

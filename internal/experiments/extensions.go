@@ -41,7 +41,7 @@ func Extensions(s *Suite) (*Report, error) {
 	stratCfg := sampling.DefaultStratifiedConfig(scale)
 	variants := []variant{
 		{"PGSS fixed (1M/.05π)", func(tgt sampling.Target) (sampling.Result, error) {
-			res, _, err := core.Run(tgt, fixedCfg)
+			res, _, err := core.RunContext(s.ctx(), tgt, fixedCfg)
 			return res, err
 		}},
 		{"Stratified [17] (oracle strata)", func(tgt sampling.Target) (sampling.Result, error) {
@@ -52,11 +52,11 @@ func Extensions(s *Suite) (*Report, error) {
 			return sampling.Stratified(pt.Profile(), stratCfg)
 		}},
 		{"PGSS + transition guard", func(tgt sampling.Target) (sampling.Result, error) {
-			res, _, err := core.Run(tgt, guardCfg)
+			res, _, err := core.RunContext(s.ctx(), tgt, guardCfg)
 			return res, err
 		}},
 		{"PGSS adaptive", func(tgt sampling.Target) (sampling.Result, error) {
-			res, _, err := core.RunAdaptive(tgt, adaptiveCfg)
+			res, _, err := core.RunAdaptive(s.ctx(), tgt, adaptiveCfg)
 			return res, err
 		}},
 	}

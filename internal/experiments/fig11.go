@@ -37,7 +37,7 @@ func Fig11(s *Suite) (*Report, error) {
 		row := []string{eng(float64(cfg.FFOps)), fmt.Sprintf(".%02dπ", int(cfg.ThresholdPi*100+0.5))}
 		var errs []float64
 		for _, p := range profiles {
-			res, _, err := core.Run(sampling.NewProfileTarget(p), cfg)
+			res, _, err := core.RunContext(s.ctx(), sampling.NewProfileTarget(p), cfg)
 			if err != nil {
 				return nil, fmt.Errorf("fig11: %s %s: %w", p.Benchmark, cfg, err)
 			}

@@ -108,14 +108,14 @@ func runFig12(s *Suite) (*Fig12Data, error) {
 	}
 	pgssSweep := core.Sweep(scale)
 	if err := add("PGSS(best)", func(p *profile.Profile) (sampling.Result, error) {
-		best, _, err := core.Best(func() sampling.Target { return sampling.NewProfileTarget(p) }, pgssSweep)
+		best, _, err := core.Best(s.ctx(), func() sampling.Target { return sampling.NewProfileTarget(p) }, pgssSweep)
 		return best, err
 	}); err != nil {
 		return nil, err
 	}
 	pgssOverall := core.DefaultConfig(scale)
 	if err := add("PGSS(1M/.05)", func(p *profile.Profile) (sampling.Result, error) {
-		res, _, err := core.Run(sampling.NewProfileTarget(p), pgssOverall)
+		res, _, err := core.RunContext(s.ctx(), sampling.NewProfileTarget(p), pgssOverall)
 		return res, err
 	}); err != nil {
 		return nil, err

@@ -37,7 +37,7 @@ func benchRecord() (*profile.Profile, error) {
 			benchErr = err
 			return
 		}
-		benchProfile, benchErr = profile.Record(c, bbv.MustNewHash(5, 42), profile.DefaultConfig())
+		benchProfile, benchErr = profile.RecordContext(context.Background(), c, bbv.MustNewHash(5, 42), profile.DefaultConfig())
 	})
 	return benchProfile, benchErr
 }
@@ -55,7 +55,7 @@ func BenchmarkRunSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.Run(sampling.NewProfileTarget(p), cfg); err != nil {
+		if _, _, err := core.RunContext(context.Background(), sampling.NewProfileTarget(p), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -37,7 +37,7 @@ func suiteProfile(t *testing.T, name string, ops uint64) *profile.Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := profile.Record(c, bbv.MustNewHash(5, 42), profile.DefaultConfig())
+	p, err := profile.RecordContext(context.Background(), c, bbv.MustNewHash(5, 42), profile.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestProfileParallelMatchesSerial(t *testing.T) {
 	}
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
-			wantRes, wantSt, err := core.Run(sampling.NewProfileTarget(p), cfg)
+			wantRes, wantSt, err := core.RunContext(context.Background(), sampling.NewProfileTarget(p), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -287,7 +287,7 @@ func TestChannelParallelMatchesSerial(t *testing.T) {
 			cfg := testConfig()
 			cfg.Channel = ch
 			cfg.Trace = true
-			wantRes, wantSt, err := core.Run(sampling.NewProfileTarget(p), cfg)
+			wantRes, wantSt, err := core.RunContext(context.Background(), sampling.NewProfileTarget(p), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

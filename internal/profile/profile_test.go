@@ -67,7 +67,7 @@ func record(t *testing.T, prog *program.Program, cfg Config) *Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Record(core, bbv.MustNewHash(5, 42), cfg)
+	p, err := RecordContext(context.Background(), core, bbv.MustNewHash(5, 42), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -35,7 +36,7 @@ func suiteProfile(t *testing.T, name string, ops uint64) *profile.Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := profile.Record(core, bbv.MustNewHash(5, 42), profile.DefaultConfig())
+	p, err := profile.RecordContext(context.Background(), core, bbv.MustNewHash(5, 42), profile.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func TestLiveVsReplaySMARTS(t *testing.T) {
 		t.Fatal(err)
 	}
 	hash := bbv.MustNewHash(5, 42)
-	p, err := profile.Record(rec, hash, profile.DefaultConfig())
+	p, err := profile.RecordContext(context.Background(), rec, hash, profile.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -145,7 +146,7 @@ func TestBenchmarkIPCCharacters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := profile.Record(core, bbv.MustNewHash(5, 42), profile.DefaultConfig())
+		p, err := profile.RecordContext(context.Background(), core, bbv.MustNewHash(5, 42), profile.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,12 +7,25 @@
 //
 // # Quick start
 //
+//	ctx := context.Background()
 //	spec, _ := pgss.Benchmark("164.gzip")
-//	prof, _ := pgss.Record(spec, 10_000_000) // one detailed pass: the truth
-//	res, st, _ := pgss.RunPGSS(prof, pgss.DefaultPGSSConfig(pgss.DefaultScale))
+//	// One detailed pass records the truth and everything replay needs.
+//	prof, _ := pgss.Record(ctx, spec, 10_000_000, pgss.DefaultCoreConfig())
+//	res, st, _ := pgss.RunPGSS(ctx, pgss.NewTarget(prof), pgss.DefaultPGSSConfig(pgss.DefaultScale))
 //	fmt.Printf("true %.3f est %.3f err %.2f%% with %d detailed ops (%d phases)\n",
 //		res.TrueIPC, res.EstimatedIPC, res.ErrorPct(),
 //		res.Costs.DetailedTotal(), st.Phases)
+//
+// # Engines
+//
+// Each PGSS engine has one context-first entry point. RunPGSS drives the
+// serial engine over a Target: a recorded profile (NewTarget) or a live
+// simulation (NewLiveTarget). RunPGSSParallel drives the sharded engine
+// over a Source: a profile (NewSource) or a checkpoint library
+// (NewLiveSource); its result is invariant to the concurrency setting.
+// RunAdaptivePGSS runs the runtime-adaptive variant on the serial engine.
+// Cancellation or deadline expiry stops any of them between windows with
+// an ErrBudgetExceeded-classed error carrying the partial statistics.
 //
 // All window parameters (sampling periods, interval sizes, the spread
 // rule) are the paper's values divided by a scale factor; DefaultScale=10
@@ -128,57 +141,43 @@ func Benchmark(name string) (*WorkloadSpec, error) { return workload.Get(name) }
 func DefaultCoreConfig() CoreConfig { return cpu.DefaultCoreConfig() }
 
 // Record builds the benchmark at the given length (0 = its default) and
-// runs one full detailed simulation, returning the recorded profile. The
-// profile holds the ground-truth IPC and everything the sampling
-// techniques need for replay.
-func Record(spec *WorkloadSpec, totalOps uint64) (*Profile, error) {
-	return RecordWithCore(spec, totalOps, DefaultCoreConfig())
-}
-
-// RecordWithCore is Record with an explicit processor configuration (for
-// design-space exploration).
-func RecordWithCore(spec *WorkloadSpec, totalOps uint64, cc CoreConfig) (*Profile, error) {
-	prog, err := spec.Build(totalOps)
-	if err != nil {
-		return nil, err
-	}
-	return RecordProgram(prog, cc)
-}
-
-// RecordContext is Record under a context: cancellation or deadline expiry
+// runs one full detailed simulation on the processor cc, returning the
+// recorded profile. The profile holds the ground-truth IPC and everything
+// the sampling techniques need for replay. Cancellation or deadline expiry
 // stops the detailed pass with an ErrBudgetExceeded-classed error.
-func RecordContext(ctx context.Context, spec *WorkloadSpec, totalOps uint64) (*Profile, error) {
+func Record(ctx context.Context, spec *WorkloadSpec, totalOps uint64, cc CoreConfig) (*Profile, error) {
 	prog, err := spec.Build(totalOps)
 	if err != nil {
 		return nil, err
 	}
-	return RecordProgramContext(ctx, prog, DefaultCoreConfig())
+	return RecordProgram(ctx, prog, cc)
 }
 
-// RecordProgram runs one full detailed simulation of an arbitrary program.
-func RecordProgram(prog *Program, cc CoreConfig) (*Profile, error) {
-	return RecordProgramContext(context.Background(), prog, cc)
+// RecordProgram is Record for an arbitrary program.
+func RecordProgram(ctx context.Context, prog *Program, cc CoreConfig) (*Profile, error) {
+	c, err := newCore(prog, cc)
+	if err != nil {
+		return nil, err
+	}
+	return profile.RecordContext(ctx, c, defaultHash(), profile.DefaultConfig())
 }
 
-// RecordProgramContext is RecordProgram under a context.
-func RecordProgramContext(ctx context.Context, prog *Program, cc CoreConfig) (*Profile, error) {
+// newCore builds a fresh core running prog on the processor cc.
+func newCore(prog *Program, cc CoreConfig) (*cpu.Core, error) {
 	m, err := cpu.NewMachine(prog)
 	if err != nil {
 		return nil, err
 	}
-	c, err := cpu.NewCore(m, cc)
-	if err != nil {
-		return nil, err
-	}
-	hash, err := bbv.NewHash(bbv.DefaultHashBits, defaultHashSeed)
-	if err != nil {
-		return nil, err
-	}
-	return profile.RecordContext(ctx, c, hash, profile.DefaultConfig())
+	return cpu.NewCore(m, cc)
 }
 
-// defaultHashSeed fixes the BBV hash bit selection across the library.
+// defaultHashSeed fixes the BBV and MAV hash bit selections across the
+// library.
 const defaultHashSeed = 42
+
+func defaultHash() *bbv.Hash { return bbv.MustNewHash(bbv.DefaultHashBits, defaultHashSeed) }
+
+func defaultMAVHash() *bbv.Hash { return bbv.MustNewMAVHash(bbv.DefaultMAVBits, defaultHashSeed) }
 
 // NewTarget wraps a profile as a replay target for the sequential
 // controllers (PGSS, SMARTS, Full).
@@ -188,24 +187,12 @@ func NewTarget(p *Profile) Target { return sampling.NewProfileTarget(p) }
 // of replaying a profile; trueIPC may be zero when unknown. The target
 // tracks both signature channels, so any PGSSConfig.Channel works live.
 func NewLiveTarget(prog *Program, cc CoreConfig, trueIPC float64) (Target, error) {
-	m, err := cpu.NewMachine(prog)
+	c, err := newCore(prog, cc)
 	if err != nil {
 		return nil, err
 	}
-	c, err := cpu.NewCore(m, cc)
-	if err != nil {
-		return nil, err
-	}
-	hash, err := bbv.NewHash(bbv.DefaultHashBits, defaultHashSeed)
-	if err != nil {
-		return nil, err
-	}
-	mh, err := bbv.NewMAVHash(bbv.DefaultMAVBits, defaultHashSeed)
-	if err != nil {
-		return nil, err
-	}
-	t := sampling.NewLiveTarget(c, hash, 0, trueIPC)
-	t.EnableMAV(mh)
+	t := sampling.NewLiveTarget(c, defaultHash(), 0, trueIPC)
+	t.EnableMAV(defaultMAVHash())
 	return t, nil
 }
 
@@ -213,69 +200,47 @@ func NewLiveTarget(prog *Program, cc CoreConfig, trueIPC float64) (Target, error
 // (1M-op BBV period, .05π threshold) at the given scale.
 func DefaultPGSSConfig(scale uint64) PGSSConfig { return core.DefaultConfig(scale) }
 
-// RunPGSS runs Phase-Guided Small-Sample Simulation over a profile.
-func RunPGSS(p *Profile, cfg PGSSConfig) (Result, PGSSStats, error) {
-	return core.Run(sampling.NewProfileTarget(p), cfg)
-}
-
-// RunPGSSOn runs PGSS over any target (e.g. a live simulation).
-func RunPGSSOn(t Target, cfg PGSSConfig) (Result, PGSSStats, error) {
-	return core.Run(t, cfg)
-}
-
-// RunPGSSContext is RunPGSS under a context: cancellation or deadline
-// expiry stops the run between windows with an ErrBudgetExceeded-classed
-// error carrying the partial statistics.
-func RunPGSSContext(ctx context.Context, p *Profile, cfg PGSSConfig) (Result, PGSSStats, error) {
-	return core.RunContext(ctx, sampling.NewProfileTarget(p), cfg)
-}
-
-// RunPGSSOnContext is RunPGSSOn under a context.
-func RunPGSSOnContext(ctx context.Context, t Target, cfg PGSSConfig) (Result, PGSSStats, error) {
+// RunPGSS runs Phase-Guided Small-Sample Simulation over a target on the
+// serial engine.
+func RunPGSS(ctx context.Context, t Target, cfg PGSSConfig) (Result, PGSSStats, error) {
 	return core.RunContext(ctx, t, cfg)
 }
 
-// ParallelOptions sets the parallel engine's concurrency: Shards
-// concurrent fast-forward shards and SampleWorkers concurrent detailed
-// sample executors (each ≤ 0 defaults to GOMAXPROCS).
-type ParallelOptions = parallel.Options
+type (
+	// Source is an execution the parallel engine can shard: window
+	// signatures are computable for any range independently and detailed
+	// samples executable at any position.
+	Source = parallel.Source
+	// ParallelOptions sets the parallel engine's concurrency: Shards
+	// concurrent fast-forward shards and SampleWorkers concurrent detailed
+	// sample executors (each ≤ 0 defaults to GOMAXPROCS).
+	ParallelOptions = parallel.Options
+)
 
-// RunPGSSParallel runs PGSS over a profile on the checkpoint-sharded
-// parallel engine. The result is bit-identical to RunPGSS on the same
-// profile for every concurrency setting.
-func RunPGSSParallel(p *Profile, cfg PGSSConfig, opts ParallelOptions) (Result, PGSSStats, error) {
-	return parallel.Run(context.Background(), parallel.NewProfileSource(p), cfg, opts)
-}
+// NewSource wraps a profile as a parallel-engine source. PGSS over it is
+// bit-identical to RunPGSS over NewTarget of the same profile.
+func NewSource(p *Profile) Source { return parallel.NewProfileSource(p) }
 
-// RunPGSSParallelContext is RunPGSSParallel under a context.
-func RunPGSSParallelContext(ctx context.Context, p *Profile, cfg PGSSConfig, opts ParallelOptions) (Result, PGSSStats, error) {
-	return parallel.Run(ctx, parallel.NewProfileSource(p), cfg, opts)
-}
-
-// RunPGSSLiveParallel runs PGSS live — shards fast-forward from the
-// checkpoint library concurrently and samples execute detailed simulation
-// on a worker pool of cores. The result is invariant to the concurrency
-// setting; totalOps is the recorded program length the library covers.
-func RunPGSSLiveParallel(ctx context.Context, lib *CheckpointLibrary, prog *Program, cc CoreConfig, totalOps uint64, trueIPC float64, cfg PGSSConfig, opts ParallelOptions) (Result, PGSSStats, error) {
-	hash, err := bbv.NewHash(bbv.DefaultHashBits, defaultHashSeed)
-	if err != nil {
-		return Result{}, PGSSStats{}, err
-	}
-	src, err := parallel.NewLiveSource(lib, hash, func() (*cpu.Core, error) {
-		m, err := cpu.NewMachine(prog)
-		if err != nil {
-			return nil, err
-		}
-		return cpu.NewCore(m, cc)
+// NewLiveSource drives fresh simulations of prog through a checkpoint
+// library recorded from it on the processor cc: shards fast-forward from
+// their nearest checkpoint and samples execute detailed simulation on a
+// pool of cores. totalOps is the recorded program length the library
+// covers; trueIPC may be zero when unknown. Like NewLiveTarget, the source
+// tracks both signature channels.
+func NewLiveSource(lib *CheckpointLibrary, prog *Program, cc CoreConfig, totalOps uint64, trueIPC float64) (Source, error) {
+	src, err := parallel.NewLiveSource(lib, defaultHash(), func() (*cpu.Core, error) {
+		return newCore(prog, cc)
 	}, totalOps, trueIPC)
 	if err != nil {
-		return Result{}, PGSSStats{}, err
+		return nil, err
 	}
-	mh, err := bbv.NewMAVHash(bbv.DefaultMAVBits, defaultHashSeed)
-	if err != nil {
-		return Result{}, PGSSStats{}, err
-	}
-	src.EnableMAV(mh)
+	src.EnableMAV(defaultMAVHash())
+	return src, nil
+}
+
+// RunPGSSParallel runs PGSS over a source on the checkpoint-sharded
+// parallel engine. The result is the same for every concurrency setting.
+func RunPGSSParallel(ctx context.Context, src Source, cfg PGSSConfig, opts ParallelOptions) (Result, PGSSStats, error) {
 	return parallel.Run(ctx, src, cfg, opts)
 }
 
@@ -285,13 +250,8 @@ func DefaultSMARTSConfig(scale uint64) SMARTSConfig {
 	return sampling.DefaultSMARTSConfig(scale)
 }
 
-// RunSMARTS runs SMARTS systematic sampling over a profile.
-func RunSMARTS(p *Profile, cfg SMARTSConfig) (Result, error) {
-	return sampling.SMARTS(sampling.NewProfileTarget(p), cfg)
-}
-
-// RunSMARTSOn runs SMARTS over any target.
-func RunSMARTSOn(t Target, cfg SMARTSConfig) (Result, error) {
+// RunSMARTS runs SMARTS systematic sampling over a target.
+func RunSMARTS(t Target, cfg SMARTSConfig) (Result, error) {
 	return sampling.SMARTS(t, cfg)
 }
 
@@ -426,9 +386,10 @@ func DefaultAdaptiveConfig(scale uint64) AdaptiveConfig {
 }
 
 // RunAdaptivePGSS runs the runtime-adaptive PGSS variant (the paper's §7:
-// parameters "automatically adjusted to each benchmark ... at runtime").
-func RunAdaptivePGSS(p *Profile, cfg AdaptiveConfig) (Result, AdaptiveStats, error) {
-	return core.RunAdaptive(sampling.NewProfileTarget(p), cfg)
+// parameters "automatically adjusted to each benchmark ... at runtime")
+// over a target on the serial engine.
+func RunAdaptivePGSS(ctx context.Context, t Target, cfg AdaptiveConfig) (Result, AdaptiveStats, error) {
+	return core.RunAdaptive(ctx, t, cfg)
 }
 
 // DefaultCMPConfig replicates the paper's core around one shared L2.
@@ -438,11 +399,7 @@ func DefaultCMPConfig() CMPConfig { return cmp.DefaultConfig() }
 // shared L2 and returns one interference-inclusive profile per core; run
 // PGSS (or any technique) per core on those profiles.
 func RecordCMP(progs []*Program, cfg CMPConfig) ([]*Profile, error) {
-	hash, err := bbv.NewHash(bbv.DefaultHashBits, defaultHashSeed)
-	if err != nil {
-		return nil, err
-	}
-	machine, err := cmp.New(progs, hash, cfg)
+	machine, err := cmp.New(progs, defaultHash(), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -454,11 +411,7 @@ func RecordCMP(progs []*Program, cfg CMPConfig) ([]*Profile, error) {
 // library then provides random access into the run (see Library.Seek and
 // Library.SampleAt).
 func RecordCheckpoints(prog *Program, cc CoreConfig, strideOps uint64) (*CheckpointLibrary, error) {
-	m, err := cpu.NewMachine(prog)
-	if err != nil {
-		return nil, err
-	}
-	c, err := cpu.NewCore(m, cc)
+	c, err := newCore(prog, cc)
 	if err != nil {
 		return nil, err
 	}
@@ -469,11 +422,7 @@ func RecordCheckpoints(prog *Program, cc CoreConfig, strideOps uint64) (*Checkpo
 // against the same program and configuration the library was recorded
 // with.
 func NewCheckpointWorker(prog *Program, cc CoreConfig) (*cpu.Core, error) {
-	m, err := cpu.NewMachine(prog)
-	if err != nil {
-		return nil, err
-	}
-	return cpu.NewCore(m, cc)
+	return newCore(prog, cc)
 }
 
 // PhaseTrace is one phase's cycle-close representative trace.
@@ -493,11 +442,7 @@ const (
 // Pereira-style trace bundle the paper compares PGSS against.
 func CapturePhaseTraces(prog *Program, cc CoreConfig, intervalOps uint64,
 	thresholdPi float64, policy trace.RepPolicy) ([]PhaseTrace, error) {
-	hash, err := bbv.NewHash(bbv.DefaultHashBits, defaultHashSeed)
-	if err != nil {
-		return nil, err
-	}
-	return trace.PhaseTraces(prog, cc, hash, intervalOps, thresholdPi*math.Pi, policy)
+	return trace.PhaseTraces(prog, cc, defaultHash(), intervalOps, thresholdPi*math.Pi, policy)
 }
 
 // EstimateIPCFromTraces replays a phase-trace bundle through a fresh

@@ -1,7 +1,9 @@
 package pgss_test
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"pgss"
@@ -13,7 +15,7 @@ func record(t testing.TB, name string, ops uint64) *pgss.Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := pgss.Record(spec, ops)
+	p, err := pgss.Record(context.Background(), spec, ops, pgss.DefaultCoreConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if p.TrueIPC() <= 0 {
 		t.Fatal("no IPC recorded")
 	}
-	res, st, err := pgss.RunPGSS(p, pgss.DefaultPGSSConfig(pgss.DefaultScale))
+	res, st, err := pgss.RunPGSS(context.Background(), pgss.NewTarget(p), pgss.DefaultPGSSConfig(pgss.DefaultScale))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestAllTechniquesThroughFacade(t *testing.T) {
 	if res, err := pgss.RunFull(p); err != nil || math.Abs(res.EstimatedIPC-p.TrueIPC())/p.TrueIPC() > 1e-3 {
 		t.Errorf("full: %v %v", res, err)
 	}
-	if res, err := pgss.RunSMARTS(p, pgss.DefaultSMARTSConfig(scale)); err != nil || res.ErrorPct() > 10 {
+	if res, err := pgss.RunSMARTS(pgss.NewTarget(p), pgss.DefaultSMARTSConfig(scale)); err != nil || res.ErrorPct() > 10 {
 		t.Errorf("smarts: %v %v", res, err)
 	}
 	if res, err := pgss.RunTurboSMARTS(p, pgss.DefaultTurboSMARTSConfig(scale)); err != nil || res.Samples == 0 {
@@ -98,12 +100,50 @@ func TestLiveTargetThroughFacade(t *testing.T) {
 	cfg := pgss.DefaultPGSSConfig(pgss.DefaultScale)
 	cfg.FFOps = 50_000
 	cfg.SpreadOps = 50_000
-	res, _, err := pgss.RunPGSSOn(target, cfg)
+	res, _, err := pgss.RunPGSS(context.Background(), target, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ErrorPct() > 10 {
 		t.Errorf("live PGSS error %.2f%%", res.ErrorPct())
+	}
+}
+
+func TestLiveParallelThroughFacade(t *testing.T) {
+	spec, err := pgss.Benchmark("197.parser")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := spec.Build(2_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := pgss.DefaultCoreConfig()
+	truth := record(t, "197.parser", 2_000_000)
+	lib, err := pgss.RecordCheckpoints(prog, cc, 250_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := pgss.NewLiveSource(lib, prog, cc, truth.TotalOps, truth.TrueIPC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pgss.DefaultPGSSConfig(pgss.DefaultScale)
+	cfg.Channel = pgss.ChannelBoth
+	ctx := context.Background()
+	one, oneSt, err := pgss.RunPGSSParallel(ctx, src, cfg, pgss.ParallelOptions{Shards: 1, SampleWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, fourSt, err := pgss.RunPGSSParallel(ctx, src, cfg, pgss.ParallelOptions{Shards: 4, SampleWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(one, four) || !reflect.DeepEqual(oneSt, fourSt) {
+		t.Errorf("shard layout changed the live result:\n 1: %v %+v\n 4: %v %+v", one, oneSt, four, fourSt)
+	}
+	if one.Samples == 0 || one.ErrorPct() > 10 {
+		t.Errorf("live parallel PGSS: %v", one)
 	}
 }
 
@@ -120,11 +160,11 @@ func TestDesignSpaceRankingPreserved(t *testing.T) {
 	for _, size := range []int{128 << 10, 1 << 20} {
 		cc := pgss.DefaultCoreConfig()
 		cc.Hierarchy.L2.SizeBytes = size
-		prof, err := pgss.RecordWithCore(spec, ops, cc)
+		prof, err := pgss.Record(context.Background(), spec, ops, cc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := pgss.RunPGSS(prof, pgss.DefaultPGSSConfig(pgss.DefaultScale))
+		res, _, err := pgss.RunPGSS(context.Background(), pgss.NewTarget(prof), pgss.DefaultPGSSConfig(pgss.DefaultScale))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,11 +182,11 @@ func TestRecordWithCoreRespectsConfig(t *testing.T) {
 	}
 	small := pgss.DefaultCoreConfig()
 	small.Hierarchy.L2.SizeBytes = 128 << 10
-	pSmall, err := pgss.RecordWithCore(spec, 3_000_000, small)
+	pSmall, err := pgss.Record(context.Background(), spec, 3_000_000, small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pBig, err := pgss.RecordWithCore(spec, 3_000_000, pgss.DefaultCoreConfig())
+	pBig, err := pgss.Record(context.Background(), spec, 3_000_000, pgss.DefaultCoreConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,20 +205,20 @@ func TestOoOModelThroughFacade(t *testing.T) {
 	}
 	const ops = 12_000_000
 
-	inorder, err := pgss.RecordWithCore(spec, ops, pgss.DefaultCoreConfig())
+	inorder, err := pgss.Record(context.Background(), spec, ops, pgss.DefaultCoreConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	oooCfg := pgss.DefaultCoreConfig()
 	oooCfg.Timing.Model = "ooo"
-	ooo, err := pgss.RecordWithCore(spec, ops, oooCfg)
+	ooo, err := pgss.Record(context.Background(), spec, ops, oooCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ooo.TrueIPC() <= inorder.TrueIPC() {
 		t.Errorf("OoO IPC %.4f not above in-order %.4f", ooo.TrueIPC(), inorder.TrueIPC())
 	}
-	res, _, err := pgss.RunPGSS(ooo, pgss.DefaultPGSSConfig(pgss.DefaultScale))
+	res, _, err := pgss.RunPGSS(context.Background(), pgss.NewTarget(ooo), pgss.DefaultPGSSConfig(pgss.DefaultScale))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +256,7 @@ func TestPhaseTracesThroughFacade(t *testing.T) {
 
 func TestAdaptiveThroughFacade(t *testing.T) {
 	p := record(t, "164.gzip", 15_000_000)
-	res, ast, err := pgss.RunAdaptivePGSS(p, pgss.DefaultAdaptiveConfig(pgss.DefaultScale))
+	res, ast, err := pgss.RunAdaptivePGSS(context.Background(), pgss.NewTarget(p), pgss.DefaultAdaptiveConfig(pgss.DefaultScale))
 	if err != nil {
 		t.Fatal(err)
 	}
