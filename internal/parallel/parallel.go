@@ -22,8 +22,8 @@
 // Because the controller is the same object the serial loop drives, and
 // because it settles pending samples in execution order before every
 // decision that reads them, a parallel run returns exactly the
-// sampling.Result and core.Stats of core.Run on the same source — verified
-// by tests, not just asserted.
+// sampling.Result and core.Stats of core.RunContext on the same source —
+// verified by tests, not just asserted.
 package parallel
 
 import (
