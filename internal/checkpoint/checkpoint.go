@@ -10,9 +10,10 @@
 // which the tests verify. A Library records checkpoints at fixed op
 // strides during one detailed or warming pass; Seek then provides random
 // access to any position by restoring the nearest checkpoint at or below
-// it and warming forward, turning the sequential simulator into the
-// random-access sample source that TurboSMARTS-style random-order
-// sampling — and live-point-accelerated PGSS — needs.
+// it and stepping forward (warming, when a sample follows), turning the
+// sequential simulator into the random-access sample source that
+// TurboSMARTS-style random-order sampling — and live-point-accelerated
+// PGSS — needs.
 package checkpoint
 
 import (
@@ -105,7 +106,7 @@ func Record(c *cpu.Core, strideOps, maxOps uint64) (*Library, error) {
 		if maxOps > 0 {
 			chunk = min(chunk, maxOps-c.M.Retired())
 		}
-		n := c.Run(chunk, false, nil, nil)
+		n := c.Run(chunk, cpu.FunctionalWarming, nil, nil)
 		if c.M.Retired() >= next {
 			lib.checkpoints = append(lib.checkpoints, Capture(c))
 			next += strideOps
@@ -141,37 +142,42 @@ func (l *Library) Nearest(pos uint64) *Checkpoint {
 }
 
 // Seek restores the nearest checkpoint at or below pos into the core and
-// warms forward to exactly pos. It returns the number of warming ops spent
-// (the random-access overhead the paper's §6 calls "the overhead of
-// loading checkpoints").
-func (l *Library) Seek(c *cpu.Core, pos uint64) (warmOps uint64, err error) {
+// steps forward to exactly pos in the given mode, returning the number of
+// ops stepped (the random-access overhead the paper's §6 calls "the
+// overhead of loading checkpoints"). Every mode reaches the same
+// architectural state. cpu.FunctionalWarming also keeps the caches and
+// predictors warm, as a detailed sample at pos needs; cpu.FastForward
+// leaves them as the checkpoint had them, for callers that use only the
+// retire stream from pos on.
+func (l *Library) Seek(c *cpu.Core, pos uint64, mode cpu.Mode) (seekOps uint64, err error) {
 	ck := l.Nearest(pos)
 	if err := ck.Restore(c); err != nil {
 		return 0, err
 	}
 	if at := c.M.Retired(); at < pos {
-		warmOps = c.Run(pos-at, false, nil, nil)
-		if warmOps < pos-at {
-			return warmOps, pgsserrors.Invalidf("checkpoint: program ended at %d before position %d",
+		seekOps = c.Run(pos-at, mode, nil, nil)
+		if seekOps < pos-at {
+			return seekOps, pgsserrors.Invalidf("checkpoint: program ended at %d before position %d",
 				c.M.Retired(), pos)
 		}
 	}
-	return warmOps, nil
+	return seekOps, nil
 }
 
-// SampleAt seeks to pos, runs warmup detailed ops unmeasured and sample
-// detailed ops measured, returning the sample IPC and the cost split —
-// one random-order live sample, as TurboSMARTS takes them.
+// SampleAt seeks to pos with functional warming, runs warmup detailed ops
+// unmeasured and sample detailed ops measured, returning the sample IPC
+// and the cost split — one random-order live sample, as TurboSMARTS takes
+// them.
 func (l *Library) SampleAt(c *cpu.Core, pos, warmup, sample uint64) (ipc float64, seekOps uint64, err error) {
-	seekOps, err = l.Seek(c, pos)
+	seekOps, err = l.Seek(c, pos, cpu.FunctionalWarming)
 	if err != nil {
 		return 0, seekOps, err
 	}
-	if c.Run(warmup, true, nil, nil) < warmup {
+	if c.Run(warmup, cpu.Detailed, nil, nil) < warmup {
 		return 0, seekOps, pgsserrors.Invalidf("checkpoint: program ended during warm-up")
 	}
 	startCycles := c.T.Cycle()
-	done := c.Run(sample, true, nil, nil)
+	done := c.Run(sample, cpu.Detailed, nil, nil)
 	cycles := c.T.Cycle() - startCycles
 	if cycles == 0 || done == 0 {
 		return 0, seekOps, pgsserrors.Invalidf("checkpoint: empty sample at %d", pos)

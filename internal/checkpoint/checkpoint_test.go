@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"pgss/internal/bbv"
@@ -120,26 +121,45 @@ func TestLibraryRecordAndNearest(t *testing.T) {
 	}
 }
 
+// TestSeekExactPosition: a seek in either mode lands exactly on its
+// position after stepping less than one stride, and fast-forward and
+// warming seeks reach identical architectural state. A fast-forward seek
+// leaves the caches and predictor as the restored checkpoint had them.
 func TestSeekExactPosition(t *testing.T) {
+	const pos = 333_333
 	c, _ := newCore(t, "197.parser", 500_000)
 	lib, err := Record(c, 100_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, _ := newCore(t, "197.parser", 500_000)
-	warmOps, err := lib.Seek(fresh, 333_333)
-	if err != nil {
-		t.Fatal(err)
+	arch := map[cpu.Mode]cpu.MachineState{}
+	for name, mode := range map[string]cpu.Mode{"warm": cpu.FunctionalWarming, "ff": cpu.FastForward} {
+		fresh, _ := newCore(t, "197.parser", 500_000)
+		seekOps, err := lib.Seek(fresh, pos, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh.M.Retired() != pos {
+			t.Errorf("%s: seek landed at %d", name, fresh.M.Retired())
+		}
+		if seekOps >= lib.StrideOps() {
+			t.Errorf("%s: seek stepped %d ops, more than one stride", name, seekOps)
+		}
+		arch[mode] = fresh.M.Snapshot()
+		if mode == cpu.FastForward {
+			ck := lib.Nearest(pos)
+			got := []any{fresh.Hier.L1I.Snapshot(), fresh.Hier.L1D.Snapshot(), fresh.Hier.L2.Snapshot(), fresh.BP.Snapshot()}
+			if !reflect.DeepEqual(got, []any{ck.L1I, ck.L1D, ck.L2, ck.Branch}) {
+				t.Errorf("%s: seek changed the restored caches or predictor", name)
+			}
+		}
+		// Seeking beyond the program fails cleanly.
+		if _, err := lib.Seek(fresh, 1<<40, mode); err == nil {
+			t.Errorf("%s: seek beyond program accepted", name)
+		}
 	}
-	if fresh.M.Retired() != 333_333 {
-		t.Errorf("seek landed at %d", fresh.M.Retired())
-	}
-	if warmOps >= lib.StrideOps() {
-		t.Errorf("seek warmed %d ops, more than one stride", warmOps)
-	}
-	// Seeking beyond the program fails cleanly.
-	if _, err := lib.Seek(fresh, 1<<40); err == nil {
-		t.Error("seek beyond program accepted")
+	if !reflect.DeepEqual(arch[cpu.FastForward], arch[cpu.FunctionalWarming]) {
+		t.Error("fast-forward and warming seeks reached different architectural state")
 	}
 }
 

@@ -57,7 +57,7 @@ func FuzzCheckpointResume(f *testing.F) {
 		pos := uint64(posRaw) % (end - sample)
 
 		seeked := newCore(t)
-		warmOps, err := lib.Seek(seeked, pos)
+		warmOps, err := lib.Seek(seeked, pos, cpu.FunctionalWarming)
 		if err != nil {
 			t.Fatalf("Seek(%d): %v", pos, err)
 		}

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"errors"
 	"os"
+	"reflect"
 	"testing"
 
 	"pgss/internal/cpu"
@@ -36,11 +37,11 @@ func TestPersistRoundTrip(t *testing.T) {
 	// The loaded checkpoints must drive a core exactly like the originals.
 	pos := got.StrideOps() * 3
 	w1, _ := newCore(t, "197.parser", 300_000)
-	if _, err := lib.Seek(w1, pos); err != nil {
+	if _, err := lib.Seek(w1, pos, cpu.FunctionalWarming); err != nil {
 		t.Fatal(err)
 	}
 	w2, _ := newCore(t, "197.parser", 300_000)
-	if _, err := got.Seek(w2, pos); err != nil {
+	if _, err := got.Seek(w2, pos, cpu.FunctionalWarming); err != nil {
 		t.Fatal(err)
 	}
 	step := func(c *cpu.Core) uint64 {
@@ -146,9 +147,9 @@ func writeRaw(t *testing.T, fsys faultinject.FS, path string, data []byte) {
 }
 
 // TestSeekStrideBoundaries: seeking to an exactly-checkpointed position
-// must restore that checkpoint and warm zero ops — the no-overhead case
-// the store-backed sampling path depends on when sample positions align
-// with the recording stride.
+// must restore that checkpoint and step zero ops in either mode — the
+// no-overhead case the store-backed sampling path depends on when sample
+// positions align with the recording stride.
 func TestSeekStrideBoundaries(t *testing.T) {
 	c, _ := newCore(t, "197.parser", 400_000)
 	const stride = 100_000
@@ -158,16 +159,23 @@ func TestSeekStrideBoundaries(t *testing.T) {
 	}
 	for k := uint64(0); k < uint64(lib.Len()); k++ {
 		pos := k * stride
-		fresh, _ := newCore(t, "197.parser", 400_000)
-		warmOps, err := lib.Seek(fresh, pos)
-		if err != nil {
-			t.Fatalf("seek to boundary %d: %v", pos, err)
+		arch := map[cpu.Mode]cpu.MachineState{}
+		for name, mode := range map[string]cpu.Mode{"warm": cpu.FunctionalWarming, "ff": cpu.FastForward} {
+			fresh, _ := newCore(t, "197.parser", 400_000)
+			seekOps, err := lib.Seek(fresh, pos, mode)
+			if err != nil {
+				t.Fatalf("%s: seek to boundary %d: %v", name, pos, err)
+			}
+			if seekOps != 0 {
+				t.Errorf("%s: seek to boundary %d stepped %d ops, want 0", name, pos, seekOps)
+			}
+			if fresh.M.Retired() != pos {
+				t.Errorf("%s: seek to boundary %d landed at %d", name, pos, fresh.M.Retired())
+			}
+			arch[mode] = fresh.M.Snapshot()
 		}
-		if warmOps != 0 {
-			t.Errorf("seek to boundary %d warmed %d ops, want 0", pos, warmOps)
-		}
-		if fresh.M.Retired() != pos {
-			t.Errorf("seek to boundary %d landed at %d", pos, fresh.M.Retired())
+		if !reflect.DeepEqual(arch[cpu.FastForward], arch[cpu.FunctionalWarming]) {
+			t.Errorf("boundary %d: fast-forward and warming seeks reached different architectural state", pos)
 		}
 	}
 }

@@ -22,26 +22,50 @@ func (c *Core) BlockBuf() []Retired {
 	return c.block
 }
 
+// Mode is how Core.Run steps the simulator: the three execution modes of
+// sampled simulation.
+//
+//pgss:enum
+type Mode uint8
+
+const (
+	// FastForward retires ops architecturally only (StepFFBlock): caches,
+	// predictors and the pipeline are left exactly as they were. It is for
+	// callers that need only the retire stream and discard the core's
+	// microarchitectural state afterwards.
+	FastForward Mode = iota
+	// FunctionalWarming also warms the caches and branch predictors from
+	// the retire stream, charging no cycles (StepWarmBlock): the
+	// fast-forward of SMARTS and PGSS, which take samples in place.
+	FunctionalWarming
+	// Detailed runs the full timing model (StepDetailedBlock).
+	Detailed
+)
+
 // Run is the stepping kernel every engine loop drives: it retires up to n
-// ops under the timing model (detailed) or in functional-warming mode,
-// feeding the retire stream to the BBV tracker t and the MAV tracker mav
-// (nil turns either off), and returns the ops retired. Fewer than n means
-// the machine halted; M.Err tells a HALT from a fault.
+// ops in the given mode, feeding the retire stream to the BBV tracker t and
+// the MAV tracker mav (nil turns either off), and returns the ops retired.
+// Fewer than n means the machine halted; M.Err tells a HALT from a fault.
+// The retire stream, and so what the trackers see, is the same in every
+// mode.
 //
 // The core steps in BlockOps superblock batches and charges t once per
 // straight-line run, which accumulates exactly like per-op RetireOps(1)
 // calls (integer op counts are exact in float64). Ops retired since the
 // last taken branch stay pending in t for the caller's next period.
-func (c *Core) Run(n uint64, detailed bool, t *bbv.Tracker, mav *bbv.MAVTracker) uint64 {
+func (c *Core) Run(n uint64, mode Mode, t *bbv.Tracker, mav *bbv.MAVTracker) uint64 {
 	buf := c.BlockBuf()
 	var done, run uint64
 	for done < n {
 		chunk := min(n-done, uint64(len(buf)))
 		var k int
-		if detailed {
-			k = c.StepDetailedBlock(buf[:chunk])
-		} else {
+		switch mode {
+		case FastForward:
+			k = c.StepFFBlock(buf[:chunk])
+		case FunctionalWarming:
 			k = c.StepWarmBlock(buf[:chunk])
+		case Detailed:
+			k = c.StepDetailedBlock(buf[:chunk])
 		}
 		if t != nil || mav != nil {
 			for i := range buf[:k] {

@@ -8,7 +8,8 @@
 // (Timing) consumes the retire stream and owns all microarchitectural
 // state. Core combines them and exposes the three execution modes every
 // sampled-simulation technique is built from: plain fast-forward, functional
-// warming, and detailed simulation.
+// warming, and detailed simulation (the values of Mode, which the stepping
+// kernel Core.Run takes).
 package cpu
 
 import (

@@ -8,16 +8,20 @@
 //     checkpoint-anchored shards of consecutive fast-forward windows; each
 //     shard computes its windows' BBVs concurrently. For a recorded profile
 //     this sums the stored raw vectors; for a live simulator it restores the
-//     nearest checkpoint with functional warming and replays forward
-//     (bit-identical restore makes the per-window retire streams — and hence
-//     the BBVs — independent of the shard layout).
+//     nearest checkpoint and fast-forwards architecture-only, warming no
+//     cache or predictor, since BBVs need only the retire stream and the
+//     shard's core is discarded (bit-identical restore makes the per-window
+//     retire streams — and hence the BBVs — independent of the shard
+//     layout).
 //
 //  2. Decision walk. A single goroutine drives the shared core.Controller
 //     over the windows in program order; this is what makes the result
 //     deterministic. Detailed samples the controller schedules are dispatched
 //     to a pool of sample workers and settle lazily: the controller waits for
 //     a sample's measurement only at the first decision that depends on it,
-//     so sample execution overlaps the decision walk and other samples.
+//     so sample execution overlaps the decision walk and other samples. A
+//     live sample restores a warmed checkpoint and warm-forwards to its
+//     position, so it runs against warm caches and predictors.
 //
 // Because the controller is the same object the serial loop drives, and
 // because it settles pending samples in execution order before every

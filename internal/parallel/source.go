@@ -118,8 +118,11 @@ func (s profileSampler) Sample(pos, warm, sample uint64) (float64, error) {
 
 // LiveSource drives cycle-level simulators through a checkpoint library:
 // every shard and every sample worker owns an independent core, restored
-// from the nearest checkpoint and warmed forward. Restoring is
-// bit-identical to continuous simulation, and window BBVs drop the
+// from the nearest checkpoint. Shards only need the retire stream, so they
+// seek and step architecture-only (cpu.FastForward) and never touch the
+// caches or predictors they will throw away; every detailed sample instead
+// restores a warmed checkpoint and warm-forwards to its position. Restoring
+// is bit-identical to continuous simulation, and window BBVs drop the
 // tracker's pending ops at every boundary, so the windows — and therefore
 // the whole run — are invariant to the shard layout: the engine returns
 // identical results for any Shards/SampleWorkers setting.
@@ -180,15 +183,17 @@ func (s *LiveSource) TotalOps() uint64 { return s.total }
 func (s *LiveSource) TrueIPC() float64 { return s.trueIPC }
 
 // Windows implements Source: one shard, one core. The core seeks to the
-// shard's start (checkpoint restore + functional warm-forward) and then
-// fast-forwards through the shard's windows with the BBV tracker attached.
+// shard's start (checkpoint restore, then fast-forward) and fast-forwards
+// through the shard's windows with the BBV and MAV trackers attached. Both
+// vectors depend only on the architectural retire stream, so no cache or
+// predictor is warmed: the shard's core is discarded when it returns.
 func (s *LiveSource) Windows(ctx context.Context, ffOps uint64, first int, out []Window) error {
 	c, err := s.newCore()
 	if err != nil {
 		return fmt.Errorf("parallel: core factory: %w", err)
 	}
 	start := uint64(first) * ffOps
-	if _, err := s.lib.Seek(c, start); err != nil {
+	if _, err := s.lib.Seek(c, start, cpu.FastForward); err != nil {
 		return fmt.Errorf("parallel: shard at window %d: %w", first, err)
 	}
 	tracker := bbv.NewTracker(s.hash)
@@ -202,7 +207,7 @@ func (s *LiveSource) Windows(ctx context.Context, ffOps uint64, first int, out [
 			return err
 		}
 		want := min(ffOps, s.total-pos)
-		done := c.Run(want, false, tracker, mavt)
+		done := c.Run(want, cpu.FastForward, tracker, mavt)
 		if err := c.M.Err(); err != nil {
 			return fmt.Errorf("parallel: %s halted abnormally in window %d: %w", s.name, first+i, err)
 		}

@@ -153,7 +153,7 @@ func RecordContext(ctx context.Context, core *cpu.Core, hash *bbv.Hash, cfg Conf
 		if cfg.MaxOps > 0 {
 			chunk = min(chunk, cfg.MaxOps-ops)
 		}
-		n := core.Run(chunk, true, tracker, mavt)
+		n := core.Run(chunk, cpu.Detailed, tracker, mavt)
 		ops += n
 		if ops%cfg.FineOps == 0 && n > 0 {
 			now := core.T.Cycle()

@@ -292,16 +292,16 @@ func (t *LiveTarget) NextWindow(ops, warm, sample uint64) (Window, bool) {
 	}
 	w := Window{SampleIPC: math.NaN()}
 	if sample > 0 && warm+sample <= ops {
-		w.WarmOps = t.core.Run(warm, true, t.tracker, t.mav)
+		w.WarmOps = t.core.Run(warm, cpu.Detailed, t.tracker, t.mav)
 		start := t.core.T.Cycle()
-		w.SampleOps = t.core.Run(sample, true, t.tracker, t.mav)
+		w.SampleOps = t.core.Run(sample, cpu.Detailed, t.tracker, t.mav)
 		cycles := t.core.T.Cycle() - start
 		if cycles > 0 && w.SampleOps > 0 {
 			w.SampleIPC = float64(w.SampleOps) / float64(cycles)
 		}
 	}
 	done := w.WarmOps + w.SampleOps
-	done += t.core.Run(ops-done, false, t.tracker, t.mav)
+	done += t.core.Run(ops-done, cpu.FunctionalWarming, t.tracker, t.mav)
 	t.pos += done
 	w.Ops = done
 	if t.scratch == nil {

@@ -60,19 +60,21 @@ const (
 	RepMedian
 )
 
-// PhaseTraces analyses prog online (one functional-warming pass with BBV
+// PhaseTraces analyses prog online (one fast-forward pass with BBV
 // tracking, the PGSS phase table at the given threshold), picks one
 // representative interval per phase according to the policy, and captures
 // a detailed trace of each representative (with one interval of warm-up
-// prefix) in a second pass. The returned bundle replays through
-// EstimateIPC to estimate whole-program IPC from traces alone.
+// prefix) in a second pass, which warms the caches and predictor on its
+// way there. The returned bundle replays through EstimateIPC to estimate
+// whole-program IPC from traces alone.
 func PhaseTraces(prog *program.Program, cc cpu.CoreConfig, hash *bbv.Hash,
 	intervalOps uint64, thresholdRad float64, policy RepPolicy) ([]PhaseTrace, error) {
 	if intervalOps == 0 {
 		return nil, fmt.Errorf("trace: zero interval")
 	}
 
-	// Pass 1: online phase analysis.
+	// Pass 1: online phase analysis. BBVs need only the retire stream and
+	// this core is discarded, so it fast-forwards without warming.
 	m, err := cpu.NewMachine(prog)
 	if err != nil {
 		return nil, err
@@ -87,7 +89,7 @@ func PhaseTraces(prog *program.Program, cc cpu.CoreConfig, hash *bbv.Hash,
 		return nil, err
 	}
 	members := map[int][]int{} // phase ID → interval indices
-	for idx := 0; core.Run(intervalOps, false, tracker, nil) == intervalOps; idx++ {
+	for idx := 0; core.Run(intervalOps, cpu.FastForward, tracker, nil) == intervalOps; idx++ {
 		p, _, _ := table.Classify(tracker.TakeVector(), intervalOps, idx)
 		members[p.ID] = append(members[p.ID], idx)
 	}
@@ -140,7 +142,7 @@ func PhaseTraces(prog *program.Program, cc cpu.CoreConfig, hash *bbv.Hash,
 			warm = start - pos
 		}
 		captureFrom := start - warm
-		if n := core2.Run(captureFrom-pos, false, nil, nil); pos+n < captureFrom {
+		if n := core2.Run(captureFrom-pos, cpu.FunctionalWarming, nil, nil); pos+n < captureFrom {
 			return nil, fmt.Errorf("trace: program ended at %d before representative %d", pos+n, start)
 		}
 		pos = captureFrom
