@@ -19,6 +19,7 @@ import (
 	"pgss/internal/cpu"
 	"pgss/internal/faultinject"
 	"pgss/internal/profile"
+	"pgss/internal/program"
 	"pgss/internal/sampling"
 	"pgss/internal/workload"
 )
@@ -371,6 +372,12 @@ func (s *Suite) newCore(spec *workload.Spec, ops uint64) (*cpu.Core, error) {
 	if err != nil {
 		return nil, err
 	}
+	return coreOf(prog)
+}
+
+// coreOf builds a fresh detailed core over prog. Programs are immutable,
+// so any number of cores may share one.
+func coreOf(prog *program.Program) (*cpu.Core, error) {
 	m, err := cpu.NewMachine(prog)
 	if err != nil {
 		return nil, err
