@@ -333,3 +333,40 @@ func BenchmarkCampaignMacro(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkLivePhased runs PGSS-Live with 2 shards and 2 sample workers
+// over the six well-phased programs at scale 10 and 20M ops, as the
+// benchmark module's live-phased workload does, and reports simulated
+// Mops/s. The profiles and checkpoint libraries are recorded before the
+// timer starts; `make profile PROFILE_BENCH=BenchmarkLivePhased` profiles
+// it, and pprof's -focus 'CampaignRun|internal/parallel\.' keeps only the
+// runs' samples.
+func BenchmarkLivePhased(b *testing.B) {
+	s := experiments.MustNewSuite(experiments.Options{
+		Scale: 10, TotalOps: 20_000_000, HashSeed: 42, Quiet: true,
+		Shards: 2, SampleWorkers: 2,
+	})
+	specs := experiments.CampaignSpecs([]string{
+		"164.gzip", "177.mesa", "183.equake", "188.ammp", "256.bzip2", "300.twolf",
+	}, []string{"PGSS-Live"}, 1)
+	for _, sp := range specs {
+		if _, err := s.Profile(sp.Benchmark); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.CheckpointLibrary(sp.Benchmark); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var ops uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sp := range specs {
+			res, err := s.CampaignRun(context.Background(), sp)
+			if err != nil {
+				b.Fatalf("%v: %v", sp, err)
+			}
+			ops += res.Costs.Total()
+		}
+	}
+	b.ReportMetric(float64(ops)/b.Elapsed().Seconds()/1e6, "Mops/s")
+}

@@ -85,3 +85,26 @@ func BenchmarkRunParallel(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLiveSourceWindows times one PGSS-Live shard over a recorded
+// checkpoint library at the scale-10 window (100k ops) and checkpoint
+// stride (four windows): the seek from the nearest checkpoint to the
+// shard's start, then the fast-forward through its windows with BBV
+// tracking. Mops/s counts every op the shard's core steps.
+func BenchmarkLiveSourceWindows(b *testing.B) {
+	const (
+		ffOps = 100_000
+		first = 3 // between checkpoints, so the shard seeks 3 windows
+	)
+	src := liveSource(b, "188.ammp", 2_000_000, 4*ffOps)
+	out := make([]Window, 15)
+	stepped := (first+uint64(len(out)))*ffOps - src.lib.Nearest(first*ffOps).Ops
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := src.Windows(context.Background(), ffOps, first, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(stepped)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
+}

@@ -125,7 +125,7 @@ func TestParallelDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func liveSource(t *testing.T, name string, ops, stride uint64) *LiveSource {
+func liveSource(t testing.TB, name string, ops, stride uint64) *LiveSource {
 	t.Helper()
 	spec, err := workload.Get(name)
 	if err != nil {
