@@ -222,11 +222,12 @@ type (
 func NewSource(p *Profile) Source { return parallel.NewProfileSource(p) }
 
 // NewLiveSource drives fresh simulations of prog through a checkpoint
-// library recorded from it on the processor cc: shards fast-forward from
-// their nearest checkpoint and samples execute detailed simulation on a
-// pool of cores. totalOps is the recorded program length the library
-// covers; trueIPC may be zero when unknown. Like NewLiveTarget, the source
-// tracks both signature channels.
+// library recorded from it on the processor cc: shards fast-forward
+// architecture-only from their nearest checkpoint, and samples warm forward
+// from theirs and execute detailed simulation on a pool of cores. totalOps
+// is the recorded program length the library covers; trueIPC may be zero
+// when unknown. Like NewLiveTarget, the source tracks both signature
+// channels.
 func NewLiveSource(lib *CheckpointLibrary, prog *Program, cc CoreConfig, totalOps uint64, trueIPC float64) (Source, error) {
 	src, err := parallel.NewLiveSource(lib, defaultHash(), func() (*cpu.Core, error) {
 		return newCore(prog, cc)
