@@ -6,7 +6,6 @@
 //
 //	pgss-trace -bench 188.ammp -ops 20000000             # capture + replay
 //	pgss-trace -bench 188.ammp -policy first              # Pereira-faithful
-//	pgss-trace -bench 188.ammp -model ooo                 # replay over the OoO core
 //
 // The tool captures one representative trace per detected phase (with its
 // cache/predictor state), replays the bundle through a fresh pipeline, and
@@ -30,7 +29,6 @@ func main() {
 	interval := flag.Uint64("interval", 100_000, "phase interval in ops")
 	threshold := flag.Float64("threshold", 0.05, "BBV angle threshold (fraction of π)")
 	policy := flag.String("policy", "median", "representative policy: first|median")
-	model := flag.String("model", "inorder", "replay timing model: inorder|ooo")
 	flag.Parse()
 
 	spec, err := pgss.Benchmark(*bench)
@@ -48,8 +46,9 @@ func main() {
 		check(fmt.Errorf("unknown policy %q", *policy))
 	}
 
+	cc := pgss.DefaultCoreConfig()
 	t0 := time.Now()
-	traces, err := pgss.CapturePhaseTraces(prog, pgss.DefaultCoreConfig(), *interval, *threshold, pol)
+	traces, err := pgss.CapturePhaseTraces(prog, cc, *interval, *threshold, pol)
 	check(err)
 	var bytesTotal int
 	for _, pt := range traces {
@@ -63,19 +62,16 @@ func main() {
 		fmt.Printf("%6d %9.2f%% %12d %12d\n", pt.PhaseID, pt.Weight*100, pt.StartOp, pt.Ops)
 	}
 
-	cc := pgss.DefaultCoreConfig()
-	cc.Timing.Model = *model
 	t0 = time.Now()
 	est, err := pgss.EstimateIPCFromTraces(traces, cc)
 	check(err)
 	replayDur := time.Since(t0)
 
-	// Truth on the same core model.
 	truth, err := pgss.Record(context.Background(), spec, *ops, cc)
 	check(err)
 	errPct := abs(est-truth.TrueIPC()) / truth.TrueIPC() * 100
-	fmt.Printf("\ntrace-driven estimate (%s core): %.4f in %v\n", *model, est, replayDur.Round(time.Millisecond))
-	fmt.Printf("full-simulation truth:           %.4f\n", truth.TrueIPC())
+	fmt.Printf("\ntrace-driven estimate: %.4f in %v\n", est, replayDur.Round(time.Millisecond))
+	fmt.Printf("full-simulation truth: %.4f\n", truth.TrueIPC())
 	fmt.Printf("error: %.2f%%\n", errPct)
 }
 

@@ -469,16 +469,6 @@ func (g *Graph) ReversePostorder() []*Block {
 	return post
 }
 
-// Reachable reports whether b is reachable from the entry block.
-func (g *Graph) Reachable(b *Block) bool {
-	for _, rb := range g.ReversePostorder() {
-		if rb == b {
-			return true
-		}
-	}
-	return false
-}
-
 // Direction selects how facts propagate through the graph.
 type Direction int
 

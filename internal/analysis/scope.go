@@ -48,12 +48,6 @@ func EnginePaths() []string {
 	return out
 }
 
-// IsCommand reports whether path is a main package or example — code where
-// wall-clock use is always legitimate.
-func IsCommand(path string) bool {
-	return strings.HasPrefix(path, "pgss/cmd/") || strings.HasPrefix(path, "pgss/examples/")
-}
-
 // flowExtraPaths widens the flow-sensitive tier (lockorder, leaktrack)
 // beyond the deterministic engine set: the artifact store's two-level
 // singleflight (in-process flight map + on-disk lock files) and the chaos

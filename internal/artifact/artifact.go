@@ -243,9 +243,6 @@ func orOS(fsys faultinject.FS) faultinject.FS {
 	return fsys
 }
 
-// Root returns the store root directory.
-func (s *Store) Root() string { return s.root }
-
 func (s *Store) objectsDir() string { return filepath.Join(s.root, "objects") }
 func (s *Store) locksDir() string   { return filepath.Join(s.root, "locks") }
 func (s *Store) indexPath() string  { return filepath.Join(s.root, "index.json") }

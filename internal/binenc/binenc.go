@@ -145,27 +145,6 @@ func Magic(data []byte) (string, bool) {
 	return string(data[:MagicLen]), true
 }
 
-// ScanFrames walks every frame of a container, verifying the header and
-// each frame's CRC without decoding any payload, and returns the frame
-// count. It is the cheap structural-integrity check (the artifact store's
-// verify pass) for containers whose payload semantics live elsewhere; any
-// violation comes back as ErrCacheCorrupt-classified.
-func ScanFrames(data []byte, magic string) (frames int, err error) {
-	r, _, err := NewReader(data, magic)
-	if err != nil {
-		return 0, err
-	}
-	for {
-		if _, _, err := r.Next(); err != nil {
-			if err == io.EOF {
-				return frames, nil
-			}
-			return frames, err
-		}
-		frames++
-	}
-}
-
 // NewReader validates the header and returns a frame iterator plus the
 // container version. The caller decides which versions it understands;
 // unknown versions should be treated like corruption (delete and rebuild)

@@ -32,11 +32,15 @@ type Checkpoint struct {
 	Ops uint64
 
 	Machine cpu.MachineState
-	Timing  any // pipeline state (in-order or OoO)
-	L1I     cache.State
-	L1D     cache.State
-	L2      cache.State
-	Branch  branch.State
+	// Timing holds a cpu.TimingState. The field stays interface-typed
+	// because gob writes an interface value under its registered type
+	// name: narrowing it would change every library file's bytes, so it
+	// waits for the next library container version.
+	Timing any
+	L1I    cache.State
+	L1D    cache.State
+	L2     cache.State
+	Branch branch.State
 	// Cycle is the timing model's cycle count at capture.
 	Cycle uint64
 	// Hier carries hierarchy-level counters.
@@ -48,7 +52,7 @@ func Capture(c *cpu.Core) *Checkpoint {
 	return &Checkpoint{
 		Ops:         c.M.Retired(),
 		Machine:     c.M.Snapshot(),
-		Timing:      c.T.SnapshotState(),
+		Timing:      c.T.Snapshot(),
 		L1I:         c.Hier.L1I.Snapshot(),
 		L1D:         c.Hier.L1D.Snapshot(),
 		L2:          c.Hier.L2.Snapshot(),
@@ -63,9 +67,11 @@ func (ck *Checkpoint) Restore(c *cpu.Core) error {
 	if err := c.M.Restore(ck.Machine); err != nil {
 		return err
 	}
-	if err := c.T.RestoreState(ck.Timing); err != nil {
-		return err
+	ts, ok := ck.Timing.(cpu.TimingState)
+	if !ok {
+		return pgsserrors.Invalidf("checkpoint: pipeline state is %T, want cpu.TimingState", ck.Timing)
 	}
+	c.T.Restore(ts)
 	if err := c.Hier.L1I.Restore(ck.L1I); err != nil {
 		return err
 	}

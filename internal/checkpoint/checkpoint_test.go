@@ -76,8 +76,10 @@ func TestRestoreGeometryMismatch(t *testing.T) {
 }
 
 // TestRestoreConfigMismatch: restoring into a core built for the same
-// program but a different microarchitectural configuration must fail with
-// an error, not silently corrupt the simulation.
+// program but a different microarchitectural configuration, or from a
+// checkpoint whose pipeline state is missing or of another type (as a
+// library decoded from disk may hold), must fail with an error, not
+// silently corrupt the simulation.
 func TestRestoreConfigMismatch(t *testing.T) {
 	c1, prog := newCore(t, "197.parser", 200_000)
 	var r cpu.Retired
@@ -88,14 +90,27 @@ func TestRestoreConfigMismatch(t *testing.T) {
 	}
 	ck := Capture(c1)
 
-	cfg := cpu.DefaultCoreConfig()
-	cfg.Hierarchy.L1D.SizeBytes /= 2 // different L1D geometry
-	c2, err := cpu.NewCore(cpu.MustNewMachine(prog), cfg)
-	if err != nil {
-		t.Fatal(err)
+	smallL1D := cpu.DefaultCoreConfig()
+	smallL1D.Hierarchy.L1D.SizeBytes /= 2 // different L1D geometry
+	cases := []struct {
+		name   string
+		cfg    cpu.CoreConfig
+		timing any
+	}{
+		{"mismatched cache configuration", smallL1D, ck.Timing},
+		{"nil pipeline state", cpu.DefaultCoreConfig(), nil},
+		{"foreign pipeline state", cpu.DefaultCoreConfig(), cpu.MachineState{}},
 	}
-	if err := ck.Restore(c2); err == nil {
-		t.Error("restore into mismatched cache configuration accepted")
+	for _, tc := range cases {
+		c2, err := cpu.NewCore(cpu.MustNewMachine(prog), tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := *ck
+		bad.Timing = tc.timing
+		if err := bad.Restore(c2); err == nil {
+			t.Errorf("restore with %s accepted", tc.name)
+		}
 	}
 }
 

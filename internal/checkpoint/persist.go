@@ -13,19 +13,19 @@ import (
 	"pgss/internal/pgsserrors"
 )
 
-// The opaque pipeline states ride inside Checkpoint.Timing (an interface
-// field); gob needs their concrete types registered once.
+// The pipeline state rides inside Checkpoint.Timing (an interface field);
+// gob needs its concrete type registered once.
 func init() {
 	gob.Register(cpu.TimingState{})
-	gob.Register(cpu.OoOState{})
 }
 
 // On-disk binary library: a binenc container with the magic below. Frame 1
 // is a JSON meta header; each following frame is one gob-encoded
-// checkpoint. Checkpoints stay gob (their Timing field is an open interface
-// union), but per-checkpoint framing means a corrupt or truncated tail is
-// caught by CRC before gob ever sees it, and the meta count cross-checks
-// that no frame went missing.
+// checkpoint. Any change to how a checkpoint encodes, including the type
+// of its Timing field, changes the container's bytes and needs a new
+// libraryVersion. Per-checkpoint framing means a corrupt or truncated tail
+// is caught by CRC before gob ever sees it, and the meta count
+// cross-checks that no frame went missing.
 const (
 	libraryMagic   = "PGSSCKPT"
 	libraryVersion = 1

@@ -54,14 +54,6 @@ func BenchmarkCoreStepDetailed(b *testing.B) {
 	stepLoop(b, cpu.DefaultCoreConfig(), (*cpu.Core).StepDetailed)
 }
 
-// BenchmarkCoreStepDetailedOoO measures the out-of-order model's retire
-// loop.
-func BenchmarkCoreStepDetailedOoO(b *testing.B) {
-	cfg := cpu.DefaultCoreConfig()
-	cfg.Timing.Model = "ooo"
-	stepLoop(b, cfg, (*cpu.Core).StepDetailed)
-}
-
 // BenchmarkCoreStepWarm measures the functional-warming loop — the cost
 // unit of fast-forwarding, the bulk of every PGSS run.
 func BenchmarkCoreStepWarm(b *testing.B) {

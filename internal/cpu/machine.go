@@ -124,13 +124,6 @@ func (m *Machine) PC() int { return m.pc }
 // Reg returns the value of register r.
 func (m *Machine) Reg(r isa.Reg) int64 { return m.regs[r] }
 
-// SetReg sets register r (r0 stays zero). Exposed for tests.
-func (m *Machine) SetReg(r isa.Reg, v int64) {
-	if r != isa.Zero {
-		m.regs[r] = v
-	}
-}
-
 // DataWord returns data word w. Exposed for tests and examples.
 func (m *Machine) DataWord(w int) int64 { return m.data[w] }
 

@@ -15,7 +15,7 @@ type microState struct {
 	L1I, L1D, L2 cache.State
 	MemAccesses  uint64
 	BP           branch.State
-	Pipeline     any
+	Timing       TimingState
 }
 
 func snapshotMicro(c *Core) microState {
@@ -25,7 +25,7 @@ func snapshotMicro(c *Core) microState {
 		L2:          c.Hier.L2.Snapshot(),
 		MemAccesses: c.Hier.MemAccesses,
 		BP:          c.BP.Snapshot(),
-		Pipeline:    c.T.SnapshotState(),
+		Timing:      c.T.Snapshot(),
 	}
 }
 

@@ -323,7 +323,7 @@ func TestCoreStepBlockModes(t *testing.T) {
 			if c1.T.Cycle() != c2.T.Cycle() {
 				t.Fatalf("cycles: step=%d block=%d", c1.T.Cycle(), c2.T.Cycle())
 			}
-			if !reflect.DeepEqual(c1.T.SnapshotState(), c2.T.SnapshotState()) {
+			if !reflect.DeepEqual(c1.T.Snapshot(), c2.T.Snapshot()) {
 				t.Fatal("pipeline state diverged")
 			}
 			if !reflect.DeepEqual(c1.Hier.L1D.Snapshot(), c2.Hier.L1D.Snapshot()) ||

@@ -4,7 +4,6 @@ import (
 	"pgss/internal/branch"
 	"pgss/internal/cache"
 	"pgss/internal/isa"
-	"pgss/internal/pgsserrors"
 )
 
 // Latency table for the execution classes (issue-to-result cycles). Load
@@ -23,35 +22,15 @@ var classLatency = [...]uint64{
 	isa.ClassHalt:   1,
 }
 
-// Pipeline is the timing-model interface: the in-order scoreboard
-// (Timing, the paper's machine) and the out-of-order dataflow model (OoO)
-// both implement it, so every sampling technique runs over either.
-type Pipeline interface {
-	// Retire advances the model by one retired instruction.
-	Retire(r *Retired)
-	// WarmControl trains the branch unit without charging timing.
-	WarmControl(r *Retired)
-	// Cycle returns the elapsed cycle count.
-	Cycle() uint64
-	// SnapshotState and RestoreState support checkpointing; the state is
-	// opaque to callers and only valid for a model of identical geometry.
-	SnapshotState() any
-	RestoreState(any) error
-}
-
 // TimingConfig parameterises the pipeline model.
 type TimingConfig struct {
-	// Model selects "inorder" (default, the paper's machine) or "ooo".
-	Model             string
 	Width             int    // issue width (default 4)
 	MispredictPenalty uint64 // cycles of front-end flush (default 6)
-	// OoO parameterises the out-of-order model when Model is "ooo".
-	OoO OoOConfig
 }
 
 // DefaultTimingConfig matches the paper's 4-wide in-order core.
 func DefaultTimingConfig() TimingConfig {
-	return TimingConfig{Model: "inorder", Width: 4, MispredictPenalty: 6, OoO: DefaultOoOConfig()}
+	return TimingConfig{Width: 4, MispredictPenalty: 6}
 }
 
 // Timing is the cycle-accurate scoreboard model of the in-order core. It
@@ -120,19 +99,6 @@ func (t *Timing) Restore(s TimingState) {
 	t.slots = s.Slots
 	t.feReady = s.FEReady
 	t.lastLine = s.LastLine
-}
-
-// SnapshotState implements Pipeline.
-func (t *Timing) SnapshotState() any { return t.Snapshot() }
-
-// RestoreState implements Pipeline.
-func (t *Timing) RestoreState(s any) error {
-	st, ok := s.(TimingState)
-	if !ok {
-		return pgsserrors.Invalidf("cpu: in-order restore from %T", s)
-	}
-	t.Restore(st)
-	return nil
 }
 
 // Retire advances the model by one retired instruction.
@@ -227,10 +193,9 @@ type Core struct {
 	M    *Machine
 	Hier *cache.Hierarchy
 	BP   *branch.Unit
-	T    Pipeline
+	T    *Timing
 
-	lineMask uint64
-	block    []Retired // reusable batch buffer, see BlockBuf
+	block []Retired // reusable batch buffer, see BlockBuf
 }
 
 // CoreConfig sizes a Core.
@@ -249,19 +214,12 @@ func DefaultCoreConfig() CoreConfig {
 	}
 }
 
-// NewPipelineOnly builds just the microarchitectural side of a core — a
-// timing model over fresh caches and predictors, with no interpreter. The
-// trace package uses this for trace-driven simulation, where the retire
-// stream comes from a recorded trace instead of execution.
-func NewPipelineOnly(cfg CoreConfig) (Pipeline, error) {
-	pipe, _, _, err := NewPipelineParts(cfg)
-	return pipe, err
-}
-
-// NewPipelineParts is NewPipelineOnly exposing the hierarchy and branch
-// unit, so callers (cycle-close trace replay) can restore captured
-// microarchitectural state before driving the pipeline.
-func NewPipelineParts(cfg CoreConfig) (Pipeline, *cache.Hierarchy, *branch.Unit, error) {
+// NewPipelineParts builds just the microarchitectural side of a core — a
+// timing model over fresh caches and predictors, with no interpreter — and
+// exposes the hierarchy and branch unit. Trace replay uses it: the retire
+// stream comes from a recorded trace instead of execution, and captured
+// cache and predictor state can be restored before driving the pipeline.
+func NewPipelineParts(cfg CoreConfig) (*Timing, *cache.Hierarchy, *branch.Unit, error) {
 	hier, err := cache.NewHierarchy(cfg.Hierarchy)
 	if err != nil {
 		return nil, nil, nil, err
@@ -270,14 +228,7 @@ func NewPipelineParts(cfg CoreConfig) (Pipeline, *cache.Hierarchy, *branch.Unit,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	switch cfg.Timing.Model {
-	case "", "inorder":
-		return NewTiming(cfg.Timing, hier, bp), hier, bp, nil
-	case "ooo":
-		return NewOoO(cfg.Timing.OoO, hier, bp), hier, bp, nil
-	default:
-		return nil, nil, nil, pgsserrors.Invalidf("cpu: unknown timing model %q", cfg.Timing.Model)
-	}
+	return NewTiming(cfg.Timing, hier, bp), hier, bp, nil
 }
 
 // NewCore builds a Core around an existing Machine with the given
@@ -298,21 +249,11 @@ func NewCoreWithHierarchy(m *Machine, cfg CoreConfig, hier *cache.Hierarchy) (*C
 	if err != nil {
 		return nil, err
 	}
-	var pipe Pipeline
-	switch cfg.Timing.Model {
-	case "", "inorder":
-		pipe = NewTiming(cfg.Timing, hier, bp)
-	case "ooo":
-		pipe = NewOoO(cfg.Timing.OoO, hier, bp)
-	default:
-		return nil, pgsserrors.Invalidf("cpu: unknown timing model %q", cfg.Timing.Model)
-	}
 	return &Core{
-		M:        m,
-		Hier:     hier,
-		BP:       bp,
-		T:        pipe,
-		lineMask: ^uint64(hier.L1D.LineBytes() - 1),
+		M:    m,
+		Hier: hier,
+		BP:   bp,
+		T:    NewTiming(cfg.Timing, hier, bp),
 	}, nil
 }
 

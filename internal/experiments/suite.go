@@ -80,11 +80,8 @@ type Suite struct {
 	hash  *bbv.Hash
 	store *artifact.Store // nil unless Options.ArtifactDir is set
 
-	mu        sync.Mutex
-	profiles  map[profileKey]*profile.Profile
-	recording map[profileKey]*recordJob
-	libraries map[libraryKey]*checkpoint.Library
-	libFlight map[libraryKey]*libraryJob
+	profiles  memo[profileKey, *profile.Profile]
+	libraries memo[libraryKey, *checkpoint.Library]
 }
 
 // profileKey identifies one memoised recording: ablations that re-record
@@ -97,14 +94,6 @@ type profileKey struct {
 	bits int
 }
 
-// recordJob is the in-flight marker of one benchmark being recorded
-// (singleflight: later requesters wait on done instead of re-recording).
-type recordJob struct {
-	done chan struct{}
-	p    *profile.Profile
-	err  error
-}
-
 // libraryKey identifies one memoised checkpoint library.
 type libraryKey struct {
 	name   string
@@ -112,11 +101,59 @@ type libraryKey struct {
 	stride uint64
 }
 
-// libraryJob is the singleflight marker of one library being recorded.
-type libraryJob struct {
+// memo is a singleflight cache: the first get of a missing key runs fill,
+// and concurrent gets of the same key wait for that run instead of
+// repeating it. Only successes are kept, so a failed fill runs again on
+// the next get. The zero value is ready to use.
+type memo[K comparable, V any] struct {
+	mu     sync.Mutex
+	done   map[K]V
+	flight map[K]*memoJob[V]
+}
+
+// memoJob is the in-flight marker of one fill.
+type memoJob[V any] struct {
 	done chan struct{}
-	lib  *checkpoint.Library
+	v    V
 	err  error
+}
+
+func (m *memo[K, V]) get(k K, fill func() (V, error)) (V, error) {
+	m.mu.Lock()
+	if v, ok := m.done[k]; ok {
+		m.mu.Unlock()
+		return v, nil
+	}
+	if job, ok := m.flight[k]; ok {
+		m.mu.Unlock()
+		<-job.done
+		return job.v, job.err
+	}
+	if m.flight == nil {
+		m.done = map[K]V{}
+		m.flight = map[K]*memoJob[V]{}
+	}
+	job := &memoJob[V]{done: make(chan struct{})}
+	m.flight[k] = job
+	m.mu.Unlock()
+
+	job.v, job.err = fill()
+	m.mu.Lock()
+	if job.err == nil {
+		m.done[k] = job.v
+	}
+	delete(m.flight, k)
+	m.mu.Unlock()
+	close(job.done)
+	return job.v, job.err
+}
+
+// has reports whether k holds a finished value.
+func (m *memo[K, V]) has(k K) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.done[k]
+	return ok
 }
 
 // NewSuite builds a Suite.
@@ -131,14 +168,7 @@ func NewSuite(opts Options) (*Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Suite{
-		opts:      opts,
-		hash:      hash,
-		profiles:  map[profileKey]*profile.Profile{},
-		recording: map[profileKey]*recordJob{},
-		libraries: map[libraryKey]*checkpoint.Library{},
-		libFlight: map[libraryKey]*libraryJob{},
-	}
+	s := &Suite{opts: opts, hash: hash}
 	if opts.ArtifactDir != "" {
 		s.store, err = artifact.Open(opts.ArtifactDir, artifact.Options{
 			FS:   opts.FS,
@@ -220,30 +250,7 @@ func (s *Suite) ProfileWith(name string, ops uint64, bits int) (*profile.Profile
 		bits = s.hash.Width()
 	}
 	key := profileKey{name: name, ops: ops, bits: bits}
-
-	s.mu.Lock()
-	if p, ok := s.profiles[key]; ok {
-		s.mu.Unlock()
-		return p, nil
-	}
-	if job, ok := s.recording[key]; ok {
-		s.mu.Unlock()
-		<-job.done
-		return job.p, job.err
-	}
-	job := &recordJob{done: make(chan struct{})}
-	s.recording[key] = job
-	s.mu.Unlock()
-
-	job.p, job.err = s.recordOne(spec, key)
-	s.mu.Lock()
-	if job.err == nil {
-		s.profiles[key] = job.p
-	}
-	delete(s.recording, key)
-	s.mu.Unlock()
-	close(job.done)
-	return job.p, job.err
+	return s.profiles.get(key, func() (*profile.Profile, error) { return s.recordOne(spec, key) })
 }
 
 // PaperTenNames returns the ten evaluation benchmark names in figure
@@ -267,11 +274,7 @@ func (s *Suite) PaperTen() ([]*profile.Profile, error) {
 		if err != nil {
 			return nil, err
 		}
-		key := profileKey{name: n, ops: s.targetOps(spec), bits: s.hash.Width()}
-		s.mu.Lock()
-		_, ok := s.profiles[key]
-		s.mu.Unlock()
-		if !ok {
+		if !s.profiles.has(profileKey{name: n, ops: s.targetOps(spec), bits: s.hash.Width()}) {
 			missing = append(missing, n)
 		}
 	}
@@ -416,30 +419,7 @@ func (s *Suite) CheckpointLibrary(name string) (*checkpoint.Library, error) {
 		return nil, err
 	}
 	key := libraryKey{name: name, ops: s.targetOps(spec), stride: s.checkpointStride()}
-
-	s.mu.Lock()
-	if lib, ok := s.libraries[key]; ok {
-		s.mu.Unlock()
-		return lib, nil
-	}
-	if job, ok := s.libFlight[key]; ok {
-		s.mu.Unlock()
-		<-job.done
-		return job.lib, job.err
-	}
-	job := &libraryJob{done: make(chan struct{})}
-	s.libFlight[key] = job
-	s.mu.Unlock()
-
-	job.lib, job.err = s.resolveLibrary(spec, key)
-	s.mu.Lock()
-	if job.err == nil {
-		s.libraries[key] = job.lib
-	}
-	delete(s.libFlight, key)
-	s.mu.Unlock()
-	close(job.done)
-	return job.lib, job.err
+	return s.libraries.get(key, func() (*checkpoint.Library, error) { return s.resolveLibrary(spec, key) })
 }
 
 // resolveLibrary records (or store-loads) one checkpoint library.

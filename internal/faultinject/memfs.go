@@ -55,14 +55,6 @@ func (m *MemFS) Crash() {
 	}
 }
 
-// Crashes returns how many times Crash has been called (open handles
-// compare against the count they were born under).
-func (m *MemFS) Crashes() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.crashes
-}
-
 // ReadFile returns the current (volatile) content of name.
 func (m *MemFS) ReadFile(name string) ([]byte, error) {
 	m.mu.Lock()
@@ -72,18 +64,6 @@ func (m *MemFS) ReadFile(name string) ([]byte, error) {
 		return nil, &fs.PathError{Op: "read", Path: name, Err: fs.ErrNotExist}
 	}
 	return append([]byte(nil), b...), nil
-}
-
-// DurableLen returns the durable (survives-crash) size of name, -1 when the
-// file has never been synced.
-func (m *MemFS) DurableLen(name string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b, ok := m.durable[name]
-	if !ok {
-		return -1
-	}
-	return len(b)
 }
 
 // OpenFile implements FS.

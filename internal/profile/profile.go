@@ -217,9 +217,6 @@ func (p *Profile) TrueIPC() float64 {
 	return float64(p.TotalOps) / float64(p.TotalCycles)
 }
 
-// NumFine returns the number of fine intervals.
-func (p *Profile) NumFine() int { return len(p.Cycles) }
-
 // fineOpsAt returns the op count of fine interval i.
 func (p *Profile) fineOpsAt(i int) uint64 {
 	if i == len(p.Cycles)-1 && p.TailOps != 0 {

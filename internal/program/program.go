@@ -268,13 +268,3 @@ func (b *Builder) Build() (*Program, error) {
 	}
 	return p, nil
 }
-
-// MustBuild is Build that panics on error; for use in tests and static
-// workload definitions where failure is a programming bug.
-func (b *Builder) MustBuild() *Program {
-	p, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return p
-}

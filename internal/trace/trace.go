@@ -2,7 +2,7 @@
 // timing simulation — the use case of the paper's closest related work
 // (Pereira et al., CODES+ISSS 2005: "Dynamic phase analysis for
 // cycle-close trace generation", §3). A trace records exactly the retire
-// stream the timing models consume, so replaying a trace through a fresh
+// stream the timing model consumes, so replaying a trace through a fresh
 // pipeline/cache/predictor reproduces execution-driven cycles bit for bit,
 // without the interpreter or the program.
 //

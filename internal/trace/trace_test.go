@@ -117,29 +117,6 @@ func TestReplayMatchesExecutionExactly(t *testing.T) {
 	}
 }
 
-func TestReplayOverOoO(t *testing.T) {
-	// The same trace drives the out-of-order model; it must be faster than
-	// the in-order replay on this workload.
-	prog := buildProg(t, "183.equake", 300_000)
-	var buf bytes.Buffer
-	if _, err := Capture(newCore(t, prog), &buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	_, inCycles, err := Replay(bytes.NewReader(buf.Bytes()), cpu.DefaultCoreConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	oooCfg := cpu.DefaultCoreConfig()
-	oooCfg.Timing.Model = "ooo"
-	_, oooCycles, err := Replay(bytes.NewReader(buf.Bytes()), oooCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oooCycles >= inCycles {
-		t.Errorf("OoO replay %d cycles not below in-order %d", oooCycles, inCycles)
-	}
-}
-
 func TestTraceCompactness(t *testing.T) {
 	prog := buildProg(t, "177.mesa", 200_000)
 	var buf bytes.Buffer

@@ -196,37 +196,6 @@ func TestRecordWithCoreRespectsConfig(t *testing.T) {
 	}
 }
 
-func TestOoOModelThroughFacade(t *testing.T) {
-	// Sampled simulation must work unchanged over the out-of-order core,
-	// and the OoO machine must be faster on memory-parallel code.
-	spec, err := pgss.Benchmark("183.equake")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const ops = 12_000_000
-
-	inorder, err := pgss.Record(context.Background(), spec, ops, pgss.DefaultCoreConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	oooCfg := pgss.DefaultCoreConfig()
-	oooCfg.Timing.Model = "ooo"
-	ooo, err := pgss.Record(context.Background(), spec, ops, oooCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ooo.TrueIPC() <= inorder.TrueIPC() {
-		t.Errorf("OoO IPC %.4f not above in-order %.4f", ooo.TrueIPC(), inorder.TrueIPC())
-	}
-	res, _, err := pgss.RunPGSS(context.Background(), pgss.NewTarget(ooo), pgss.DefaultPGSSConfig(pgss.DefaultScale))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ErrorPct() > 8 {
-		t.Errorf("PGSS over OoO core: %.2f%% error", res.ErrorPct())
-	}
-}
-
 func TestPhaseTracesThroughFacade(t *testing.T) {
 	spec, err := pgss.Benchmark("188.ammp")
 	if err != nil {
