@@ -4,8 +4,8 @@
 //
 // The format is designed for mmap loading: every frame payload starts on
 // an 8-byte boundary relative to the file start, so numeric sections
-// ([]uint32, []float64, little-endian) can be reinterpreted in place with
-// zero copies on little-endian hosts. On big-endian or misaligned inputs
+// (slices of a Word type such as []uint32 or []int64, little-endian) can be
+// reinterpreted in place with zero copies on little-endian hosts. On big-endian or misaligned inputs
 // the decoders transparently fall back to copying, so the format is
 // portable even though the fast path is not.
 //
@@ -110,18 +110,6 @@ func (w *Writer) Frame(tag uint32, payload []byte) error {
 	return nil
 }
 
-// FrameU32s appends a []uint32 section (little-endian, zero-copy on
-// little-endian hosts).
-func (w *Writer) FrameU32s(tag uint32, src []uint32) error {
-	return w.Frame(tag, U32sAsBytes(src))
-}
-
-// FrameF64s appends a []float64 section (little-endian, zero-copy on
-// little-endian hosts).
-func (w *Writer) FrameF64s(tag uint32, src []float64) error {
-	return w.Frame(tag, F64sAsBytes(src))
-}
-
 // Reader iterates the frames of a container held in memory (read or
 // mmapped). Payload slices alias data; treat them as immutable if data is.
 type Reader struct {
@@ -194,74 +182,57 @@ func (r *Reader) Next() (tag uint32, payload []byte, err error) {
 	return tag, payload, nil
 }
 
-// U32sAsBytes views src as its little-endian byte encoding. Zero-copy on
+// Word is the element type of a numeric section: a fixed-size integer or
+// float stored as its little-endian bytes.
+type Word interface {
+	~uint32 | ~int32 | ~float32 | ~uint64 | ~int64 | ~float64
+}
+
+// WordBytes views src as its little-endian byte encoding, the payload of a
+// numeric section (w.Frame(tag, WordBytes(src))). Zero-copy on
 // little-endian hosts; an encoded copy otherwise.
-func U32sAsBytes(src []uint32) []byte {
+func WordBytes[T Word](src []T) []byte {
 	if len(src) == 0 {
 		return nil
 	}
+	size := int(unsafe.Sizeof(src[0]))
 	if hostLE {
-		return unsafe.Slice((*byte)(unsafe.Pointer(&src[0])), len(src)*4)
+		return unsafe.Slice((*byte)(unsafe.Pointer(&src[0])), len(src)*size)
 	}
-	out := make([]byte, len(src)*4)
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(out[i*4:], v)
+	out := make([]byte, len(src)*size)
+	for i := range src {
+		if size == 4 {
+			binary.LittleEndian.PutUint32(out[i*4:], *(*uint32)(unsafe.Pointer(&src[i])))
+		} else {
+			binary.LittleEndian.PutUint64(out[i*8:], *(*uint64)(unsafe.Pointer(&src[i])))
+		}
 	}
 	return out
 }
 
-// F64sAsBytes views src as its little-endian byte encoding. Zero-copy on
-// little-endian hosts; an encoded copy otherwise.
-func F64sAsBytes(src []float64) []byte {
-	if len(src) == 0 {
-		return nil
-	}
-	if hostLE {
-		return unsafe.Slice((*byte)(unsafe.Pointer(&src[0])), len(src)*8)
-	}
-	out := make([]byte, len(src)*8)
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(out[i*8:], *(*uint64)(unsafe.Pointer(&v)))
-	}
-	return out
-}
-
-// U32s decodes a little-endian []uint32 payload. On little-endian hosts
-// with 4-byte-aligned payloads (guaranteed for frames of an aligned
-// container) the result aliases payload with zero copies.
-func U32s(payload []byte) ([]uint32, error) {
-	if len(payload)%4 != 0 {
-		return nil, pgsserrors.Corruptf("binenc: %d-byte payload not a []uint32", len(payload))
+// Words decodes a little-endian []T payload. On little-endian hosts with
+// a payload aligned for T (guaranteed for frames of an aligned container)
+// the result aliases payload with zero copies, so it is exactly as mutable
+// as payload is.
+func Words[T Word](payload []byte) ([]T, error) {
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	if len(payload)%size != 0 {
+		return nil, pgsserrors.Corruptf("binenc: %d-byte payload not a []%T", len(payload), zero)
 	}
 	if len(payload) == 0 {
 		return nil, nil
 	}
-	if hostLE && uintptr(unsafe.Pointer(&payload[0]))%unsafe.Alignof(uint32(0)) == 0 {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(&payload[0])), len(payload)/4), nil
+	if hostLE && uintptr(unsafe.Pointer(&payload[0]))%unsafe.Alignof(zero) == 0 {
+		return unsafe.Slice((*T)(unsafe.Pointer(&payload[0])), len(payload)/size), nil
 	}
-	out := make([]uint32, len(payload)/4)
+	out := make([]T, len(payload)/size)
 	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(payload[i*4:])
-	}
-	return out, nil
-}
-
-// F64s decodes a little-endian []float64 payload, zero-copy when aligned
-// on little-endian hosts (see U32s).
-func F64s(payload []byte) ([]float64, error) {
-	if len(payload)%8 != 0 {
-		return nil, pgsserrors.Corruptf("binenc: %d-byte payload not a []float64", len(payload))
-	}
-	if len(payload) == 0 {
-		return nil, nil
-	}
-	if hostLE && uintptr(unsafe.Pointer(&payload[0]))%unsafe.Alignof(float64(0)) == 0 {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&payload[0])), len(payload)/8), nil
-	}
-	out := make([]float64, len(payload)/8)
-	for i := range out {
-		bits := binary.LittleEndian.Uint64(payload[i*8:])
-		out[i] = *(*float64)(unsafe.Pointer(&bits))
+		if size == 4 {
+			*(*uint32)(unsafe.Pointer(&out[i])) = binary.LittleEndian.Uint32(payload[i*4:])
+		} else {
+			*(*uint64)(unsafe.Pointer(&out[i])) = binary.LittleEndian.Uint64(payload[i*8:])
+		}
 	}
 	return out, nil
 }

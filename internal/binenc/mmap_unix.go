@@ -11,7 +11,7 @@ import (
 // private (copy-on-write), so callers may treat the result exactly like an
 // os.ReadFile buffer — mutating it never touches the file. The mapping is
 // intentionally never munmapped: profile and checkpoint libraries live for
-// the whole process, and the zero-copy numeric views returned by U32s/F64s
+// the whole process, and the zero-copy numeric views returned by Words
 // alias the mapping, so unmapping would invalidate live data.
 //
 // Empty files map to an empty (non-mmapped) slice, since mmap of length 0

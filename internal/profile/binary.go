@@ -82,7 +82,7 @@ func (p *Profile) encodeBinary(w io.Writer) error {
 	if err := bw.Frame(tagProfileMeta, meta); err != nil {
 		return err
 	}
-	if err := bw.FrameU32s(tagProfileCycles, p.Cycles); err != nil {
+	if err := bw.Frame(tagProfileCycles, binenc.WordBytes(p.Cycles)); err != nil {
 		return err
 	}
 	// Flatten the BBVs into one arena. Freshly recorded profiles already
@@ -92,7 +92,7 @@ func (p *Profile) encodeBinary(w io.Writer) error {
 	for _, v := range p.RawBBVs {
 		arena = append(arena, v...)
 	}
-	if err := bw.FrameF64s(tagProfileBBVs, arena); err != nil {
+	if err := bw.Frame(tagProfileBBVs, binenc.WordBytes(arena)); err != nil {
 		return err
 	}
 	if mavWidth > 0 {
@@ -100,7 +100,7 @@ func (p *Profile) encodeBinary(w io.Writer) error {
 		for _, v := range p.RawMAVs {
 			mavArena = append(mavArena, v...)
 		}
-		if err := bw.FrameF64s(tagProfileMAVs, mavArena); err != nil {
+		if err := bw.Frame(tagProfileMAVs, binenc.WordBytes(mavArena)); err != nil {
 			return err
 		}
 	}
@@ -139,15 +139,15 @@ func decodeBinary(data []byte) (*Profile, error) {
 			}
 			gotMeta = true
 		case tagProfileCycles:
-			if p.Cycles, err = binenc.U32s(payload); err != nil {
+			if p.Cycles, err = binenc.Words[uint32](payload); err != nil {
 				return nil, err
 			}
 		case tagProfileBBVs:
-			if arena, err = binenc.F64s(payload); err != nil {
+			if arena, err = binenc.Words[float64](payload); err != nil {
 				return nil, err
 			}
 		case tagProfileMAVs:
-			if mavArena, err = binenc.F64s(payload); err != nil {
+			if mavArena, err = binenc.Words[float64](payload); err != nil {
 				return nil, err
 			}
 		default:
