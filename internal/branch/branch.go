@@ -323,8 +323,13 @@ func (u *Unit) Snapshot() State {
 
 // Restore reinstates a snapshot taken from a unit of identical geometry.
 func (u *Unit) Restore(s State) error {
-	if len(s.BTBTags) != len(u.btb.tags) || len(s.RASStack) != len(u.ras.stack) {
+	if len(s.BTBTags) != len(u.btb.tags) || len(s.BTBTargets) != len(u.btb.targets) ||
+		len(s.RASStack) != len(u.ras.stack) {
 		return fmt.Errorf("branch: snapshot geometry mismatch")
+	}
+	if s.RASTop < 0 || s.RASTop >= len(u.ras.stack) || s.RASDepth < 0 || s.RASDepth > len(u.ras.stack) {
+		return fmt.Errorf("branch: snapshot RAS top %d depth %d outside a %d-entry stack",
+			s.RASTop, s.RASDepth, len(u.ras.stack))
 	}
 	copy(u.btb.tags, s.BTBTags)
 	copy(u.btb.targets, s.BTBTargets)

@@ -205,9 +205,9 @@ func (c *Cache) Snapshot() State {
 
 // Restore reinstates a snapshot taken from a cache of identical geometry.
 func (c *Cache) Restore(s State) error {
-	if len(s.Tags) != len(c.tags) {
-		return fmt.Errorf("cache %s: snapshot geometry %d lines, cache has %d",
-			c.name, len(s.Tags), len(c.tags))
+	if len(s.Tags) != len(c.tags) || len(s.LRU) != len(c.lru) || len(s.Dirty) != len(c.dirty) {
+		return fmt.Errorf("cache %s: snapshot geometry %d/%d/%d tags/LRU/dirty lines, cache has %d",
+			c.name, len(s.Tags), len(s.LRU), len(s.Dirty), len(c.tags))
 	}
 	copy(c.tags, s.Tags)
 	copy(c.lru, s.LRU)

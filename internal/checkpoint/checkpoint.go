@@ -7,13 +7,16 @@
 // architectural state (registers, memory, PC), cache contents, branch
 // predictor state and the pipeline scoreboard. Restoring it and resuming
 // detailed simulation is bit-identical to having simulated continuously,
-// which the tests verify. A Library records checkpoints at fixed op
-// strides during one detailed or warming pass; Seek then provides random
-// access to any position by restoring the nearest checkpoint at or below
-// it and stepping forward (warming, when a sample follows), turning the
-// sequential simulator into the random-access sample source that
-// TurboSMARTS-style random-order sampling — and live-point-accelerated
-// PGSS — needs.
+// which the tests verify. A Library records checkpoints at fixed op strides
+// during one warming pass. Consecutive checkpoints share every data page
+// that did not change between them (cpu.MachineState), in memory and in the
+// library file, so a checkpoint costs about what changed since the previous
+// one and a stride of one sampling window stays affordable. Seek then
+// provides random access to any position by restoring the nearest checkpoint
+// at or below it and stepping forward (warming, when a sample follows),
+// turning the sequential simulator into the random-access sample source that
+// TurboSMARTS-style random-order sampling — and live-point-accelerated PGSS
+// — needs.
 package checkpoint
 
 import (
@@ -32,18 +35,12 @@ type Checkpoint struct {
 	Ops uint64
 
 	Machine cpu.MachineState
-	// Timing holds a cpu.TimingState. The field stays interface-typed
-	// because gob writes an interface value under its registered type
-	// name: narrowing it would change every library file's bytes, so it
-	// waits for the next library container version.
-	Timing any
-	L1I    cache.State
-	L1D    cache.State
-	L2     cache.State
-	Branch branch.State
-	// Cycle is the timing model's cycle count at capture.
-	Cycle uint64
-	// Hier carries hierarchy-level counters.
+	Timing  cpu.TimingState
+	L1I     cache.State
+	L1D     cache.State
+	L2      cache.State
+	Branch  branch.State
+	// MemAccesses is the hierarchy's memory-access counter.
 	MemAccesses uint64
 }
 
@@ -67,11 +64,7 @@ func (ck *Checkpoint) Restore(c *cpu.Core) error {
 	if err := c.M.Restore(ck.Machine); err != nil {
 		return err
 	}
-	ts, ok := ck.Timing.(cpu.TimingState)
-	if !ok {
-		return pgsserrors.Invalidf("checkpoint: pipeline state is %T, want cpu.TimingState", ck.Timing)
-	}
-	c.T.Restore(ts)
+	c.T.Restore(ck.Timing)
 	if err := c.Hier.L1I.Restore(ck.L1I); err != nil {
 		return err
 	}

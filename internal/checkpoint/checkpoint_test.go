@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pgss/internal/bbv"
@@ -77,9 +78,9 @@ func TestRestoreGeometryMismatch(t *testing.T) {
 
 // TestRestoreConfigMismatch: restoring into a core built for the same
 // program but a different microarchitectural configuration, or from a
-// checkpoint whose pipeline state is missing or of another type (as a
-// library decoded from disk may hold), must fail with an error, not
-// silently corrupt the simulation.
+// checkpoint whose data image or arrays have the wrong shape (as a library
+// decoded from disk may hold), must fail with an error, not silently
+// corrupt the simulation.
 func TestRestoreConfigMismatch(t *testing.T) {
 	c1, prog := newCore(t, "197.parser", 200_000)
 	var r cpu.Retired
@@ -92,14 +93,26 @@ func TestRestoreConfigMismatch(t *testing.T) {
 
 	smallL1D := cpu.DefaultCoreConfig()
 	smallL1D.Hierarchy.L1D.SizeBytes /= 2 // different L1D geometry
+	pages := ck.Machine.Pages
 	cases := []struct {
-		name   string
-		cfg    cpu.CoreConfig
-		timing any
+		name string
+		cfg  cpu.CoreConfig
+		edit func(ck *Checkpoint)
 	}{
-		{"mismatched cache configuration", smallL1D, ck.Timing},
-		{"nil pipeline state", cpu.DefaultCoreConfig(), nil},
-		{"foreign pipeline state", cpu.DefaultCoreConfig(), cpu.MachineState{}},
+		{"mismatched cache configuration", smallL1D, func(*Checkpoint) {}},
+		{"wrong page count", cpu.DefaultCoreConfig(), func(ck *Checkpoint) {
+			ck.Machine.Pages = pages[:len(pages)-1]
+		}},
+		{"short page", cpu.DefaultCoreConfig(), func(ck *Checkpoint) {
+			ck.Machine.Pages = slices.Clone(pages)
+			ck.Machine.Pages[0] = pages[0][:len(pages[0])-1]
+		}},
+		{"short LRU", cpu.DefaultCoreConfig(), func(ck *Checkpoint) {
+			ck.L1D.LRU = ck.L1D.LRU[:len(ck.L1D.LRU)-1]
+		}},
+		{"short BTBTargets", cpu.DefaultCoreConfig(), func(ck *Checkpoint) {
+			ck.Branch.BTBTargets = ck.Branch.BTBTargets[:len(ck.Branch.BTBTargets)-1]
+		}},
 	}
 	for _, tc := range cases {
 		c2, err := cpu.NewCore(cpu.MustNewMachine(prog), tc.cfg)
@@ -107,7 +120,7 @@ func TestRestoreConfigMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		bad := *ck
-		bad.Timing = tc.timing
+		tc.edit(&bad)
 		if err := bad.Restore(c2); err == nil {
 			t.Errorf("restore with %s accepted", tc.name)
 		}

@@ -4,17 +4,22 @@
 // and branch prediction unit (package branch) — the configuration used by
 // the paper's evaluation (§5).
 //
-// The interpreter (Machine) owns all architectural state. The timing model
-// (Timing) consumes the retire stream and owns all microarchitectural
-// state. Core combines them and exposes the three execution modes every
-// sampled-simulation technique is built from: plain fast-forward, functional
-// warming, and detailed simulation (the values of Mode, which the stepping
-// kernel Core.Run takes).
+// The interpreter (Machine) owns all architectural state. It steps over a
+// flat data image, and snapshots hold that image as a table of immutable
+// PageWords-word pages: a snapshot copies only the pages stored to and
+// changed since the machine's previous snapshot or restore, and shares the
+// rest with it; a restore copies only the pages that differ from what the
+// machine holds. The timing model (Timing) consumes the retire stream and
+// owns all microarchitectural state. Core combines them and exposes the
+// three execution modes every sampled-simulation technique is built from:
+// plain fast-forward, functional warming, and detailed simulation (the
+// values of Mode, which the stepping kernel Core.Run takes).
 package cpu
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"pgss/internal/isa"
 	"pgss/internal/pgsserrors"
@@ -54,6 +59,11 @@ type Machine struct {
 
 	regs [isa.NumRegs]int64
 	data []int64
+	// pages is the page table of the last Snapshot or Restore (nil after
+	// Reset). Every page whose dirty flag is clear holds the same words in
+	// data, so Snapshot can share it and Restore can skip it.
+	pages [][]int64
+	dirty []bool // one flag per page, set by stores
 
 	pc      int
 	retired uint64
@@ -91,14 +101,14 @@ func (m *Machine) Reset() {
 	m.regs[isa.GP] = int64(program.DataBase)
 	if m.data == nil || len(m.data) != m.prog.DataWords {
 		m.data = make([]int64, m.prog.DataWords)
+		m.dirty = make([]bool, (m.prog.DataWords+PageWords-1)/PageWords)
 	} else {
-		for i := range m.data {
-			m.data[i] = 0
-		}
+		clear(m.data)
 	}
 	for w, v := range m.prog.Init {
 		m.data[w] = v
 	}
+	m.pages = nil
 	m.pc = m.prog.Entry
 	m.retired = 0
 	m.halted = false
@@ -143,23 +153,42 @@ func (m *Machine) wordIndex(addr uint64) int {
 	return int(idx)
 }
 
+// PageWords is the size of a data-image page in words (4 KiB). Snapshots
+// hold the data image as a table of pages and share every page that did
+// not change since the machine's previous snapshot or restore.
+const PageWords = 512
+
 // MachineState is a serialisable snapshot of architectural state (see the
 // checkpoint package).
 type MachineState struct {
-	Regs         [isa.NumRegs]int64
-	Data         []int64
+	Regs [isa.NumRegs]int64
+	// Pages is the data image, PageWords words a page (the last page may
+	// be shorter). Pages are immutable and shared between snapshots.
+	Pages        [][]int64
 	PC           int
 	Retired      uint64
 	Halted       bool
 	WildAccesses uint64
 }
 
-// Snapshot captures the architectural state. The data image is copied, so
-// snapshots are O(memory size).
+// Snapshot captures the architectural state. A page the machine has not
+// stored to since its last Snapshot or Restore, or whose words still equal
+// that page, is shared with it; only the others are copied.
 func (m *Machine) Snapshot() MachineState {
+	pages := make([][]int64, len(m.dirty))
+	for p := range pages {
+		page := m.page(p)
+		if m.pages != nil && (!m.dirty[p] || slices.Equal(page, m.pages[p])) {
+			pages[p] = m.pages[p]
+		} else {
+			pages[p] = slices.Clone(page)
+		}
+		m.dirty[p] = false
+	}
+	m.pages = pages
 	return MachineState{
 		Regs:         m.regs,
-		Data:         append([]int64(nil), m.data...),
+		Pages:        pages,
 		PC:           m.pc,
 		Retired:      m.retired,
 		Halted:       m.halted,
@@ -168,19 +197,37 @@ func (m *Machine) Snapshot() MachineState {
 }
 
 // Restore reinstates a snapshot taken from a machine running the same
-// program.
+// program. It copies only the pages that differ from the machine's
+// current page table or that the machine has stored to since.
 func (m *Machine) Restore(s MachineState) error {
-	if len(s.Data) != len(m.data) {
-		return pgsserrors.Invalidf("cpu: snapshot data %d words, machine has %d", len(s.Data), len(m.data))
+	if len(s.Pages) != len(m.dirty) {
+		return pgsserrors.Invalidf("cpu: snapshot data %d pages, machine has %d", len(s.Pages), len(m.dirty))
 	}
+	for p, page := range s.Pages {
+		if want := len(m.page(p)); len(page) != want {
+			return pgsserrors.Invalidf("cpu: snapshot page %d has %d words, want %d", p, len(page), want)
+		}
+	}
+	for p, page := range s.Pages {
+		if m.dirty[p] || m.pages == nil || &page[0] != &m.pages[p][0] {
+			copy(m.page(p), page)
+		}
+		m.dirty[p] = false
+	}
+	m.pages = s.Pages
 	m.regs = s.Regs
-	copy(m.data, s.Data)
 	m.pc = s.PC
 	m.retired = s.Retired
 	m.halted = s.Halted
 	m.err = nil
 	m.WildAccesses = s.WildAccesses
 	return nil
+}
+
+// page returns page p of the data image.
+func (m *Machine) page(p int) []int64 {
+	lo := p * PageWords
+	return m.data[lo:min(lo+PageWords, len(m.data))]
 }
 
 // Step executes one instruction, filling *r with its retire record. It
@@ -268,7 +315,9 @@ func (m *Machine) Step(r *Retired) bool {
 	case isa.ST:
 		addr := uint64(m.regs[in.Src1] + in.Imm)
 		r.MemAddr = addr
-		m.data[m.wordIndex(addr)] = m.regs[in.Src2]
+		w := m.wordIndex(addr)
+		m.data[w] = m.regs[in.Src2]
+		m.dirty[w/PageWords] = true
 	case isa.BEQ:
 		r.Taken = m.regs[in.Src1] == m.regs[in.Src2]
 	case isa.BNE:

@@ -250,7 +250,9 @@ func (m *Machine) StepBlock(out []Retired) int {
 			case isa.ST:
 				addr := uint64(m.regs[in.s1] + in.imm)
 				r.MemAddr = addr
-				m.data[m.wordIndex(addr)] = m.regs[in.s2]
+				w := m.wordIndex(addr)
+				m.data[w] = m.regs[in.s2]
+				m.dirty[w/PageWords] = true
 			}
 			pc++
 			n++
