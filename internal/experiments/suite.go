@@ -389,11 +389,13 @@ func coreOf(prog *program.Program) (*cpu.Core, error) {
 }
 
 // checkpointStride is the library stride for checkpoint-accelerated
-// sampling at the suite's scale: a few fast-forward periods apart, so a
-// detailed sample restores from a nearby checkpoint instead of replaying
-// from op 0, while the library stays a small multiple of the shard count.
+// sampling at the suite's scale: one fast-forward period. Shards start and
+// samples sit on window boundaries, so every seek below the library's last
+// checkpoint is an exact restore with no warm-forward. Checkpoints share
+// the data pages that did not change between them, so the library costs
+// about what the program writes, not one data image per window.
 func (s *Suite) checkpointStride() uint64 {
-	return 4 * core.DefaultConfig(s.Scale()).FFOps
+	return core.DefaultConfig(s.Scale()).FFOps
 }
 
 // libraryArtifactKey is the content address of a checkpoint library.
