@@ -10,7 +10,7 @@ BENCH_PKGS ?= ./...
 # regressions fail while run-to-run jitter in timing-dependent paths does
 # not.
 COVER_FLOOR ?= 70.0
-# Per-target budget for `make fuzz-smoke` (7 targets; CI budgets 105s total).
+# Per-target budget for `make fuzz-smoke` (8 targets; CI budgets 120s total).
 FUZZTIME ?= 15s
 # Where `make profile` drops its pprof bundles.
 PROFILE_DIR ?= /tmp/pgss-profile
@@ -115,13 +115,16 @@ cover:
 
 # Run each native fuzz target for FUZZTIME on top of the committed seed
 # corpus. `go test` allows one -fuzz pattern per invocation, hence one run
-# per target.
+# per target. FuzzLibraryDecode's inputs are kilobytes long, and the
+# default minimisation of each new input (up to 60s, quadratic in its
+# length) would eat its whole budget, so it minimises for 2s at most.
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzConfigValidate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bbv -run '^$$' -fuzz '^FuzzTrackerStream$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bbv -run '^$$' -fuzz '^FuzzMAVAdditivity$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/phase -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzCheckpointResume$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzLibraryDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 	$(GO) test ./internal/binenc -run '^$$' -fuzz '^FuzzFrameDecoder$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sampling -run '^$$' -fuzz '^FuzzTwoPhaseConfig$$' -fuzztime $(FUZZTIME)
 

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pgss/internal/bbv"
+	"pgss/internal/cache"
 	"pgss/internal/checkpoint"
 	"pgss/internal/core"
 	"pgss/internal/cpu"
@@ -184,6 +187,49 @@ func TestLiveShardLayoutInvariant(t *testing.T) {
 		if !reflect.DeepEqual(st, refSt) {
 			t.Errorf("%+v: live Stats diverged:\n got %+v\nwant %+v", opts, st, refSt)
 		}
+	}
+}
+
+// TestLiveRunLeavesLibraryUnchanged: a loaded library's pages and cache
+// arrays alias the file's bytes, and every shard and sample worker restores
+// from them. A live run must leave all of them exactly as loaded.
+func TestLiveRunLeavesLibraryUnchanged(t *testing.T) {
+	src := liveSource(t, "197.parser", 600_000, 20_000)
+	path := filepath.Join(t.TempDir(), "lib.ckpt")
+	if err := src.lib.Save(nil, path); err != nil {
+		t.Fatal(err)
+	}
+	lib, err := checkpoint.Load(nil, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.lib = lib
+	contents := func() []any {
+		var out []any
+		for k := 0; k < lib.Len(); k++ {
+			ck := lib.Nearest(uint64(k) * lib.StrideOps())
+			for _, page := range ck.Machine.Pages {
+				out = append(out, slices.Clone(page))
+			}
+			for _, cs := range []cache.State{ck.L1I, ck.L1D, ck.L2} {
+				out = append(out, slices.Clone(cs.Tags), slices.Clone(cs.LRU))
+			}
+		}
+		return out
+	}
+	before := contents()
+	cfg := testConfig()
+	cfg.FFOps = 20_000
+	cfg.SpreadOps = 20_000
+	res, _, err := Run(context.Background(), src, cfg, Options{Shards: 3, SampleWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Samples == 0 {
+		t.Fatal("live run took no samples — the test would be vacuous")
+	}
+	if !reflect.DeepEqual(contents(), before) {
+		t.Error("a live run changed the loaded library's pages or cache arrays")
 	}
 }
 
