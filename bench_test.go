@@ -342,13 +342,22 @@ func BenchmarkCampaignMacro(b *testing.B) {
 // it, and pprof's -focus 'CampaignRun|internal/parallel\.' keeps only the
 // runs' samples.
 func BenchmarkLivePhased(b *testing.B) {
+	benchLive(b, "164.gzip", "177.mesa", "183.equake", "188.ammp", "256.bzip2", "300.twolf")
+}
+
+// BenchmarkLiveChurn is BenchmarkLivePhased over the four micro-phase
+// programs of the benchmark module's live-churn workload, which take a
+// sample about every other window, so checkpoint restores dominate.
+func BenchmarkLiveChurn(b *testing.B) {
+	benchLive(b, "179.art", "181.mcf", "197.parser", "253.perlbmk")
+}
+
+func benchLive(b *testing.B, names ...string) {
 	s := experiments.MustNewSuite(experiments.Options{
 		Scale: 10, TotalOps: 20_000_000, HashSeed: 42, Quiet: true,
 		Shards: 2, SampleWorkers: 2,
 	})
-	specs := experiments.CampaignSpecs([]string{
-		"164.gzip", "177.mesa", "183.equake", "188.ammp", "256.bzip2", "300.twolf",
-	}, []string{"PGSS-Live"}, 1)
+	specs := experiments.CampaignSpecs(names, []string{"PGSS-Live"}, 1)
 	for _, sp := range specs {
 		if _, err := s.Profile(sp.Benchmark); err != nil {
 			b.Fatal(err)
