@@ -121,11 +121,14 @@ func (s profileSampler) Sample(pos, warm, sample uint64) (float64, error) {
 // from the nearest checkpoint. Shards only need the retire stream, so they
 // seek and step architecture-only (cpu.FastForward) and never touch the
 // caches or predictors they will throw away; every detailed sample instead
-// restores a warmed checkpoint and warm-forwards to its position. Restoring
-// is bit-identical to continuous simulation, and window BBVs drop the
-// tracker's pending ops at every boundary, so the windows — and therefore
-// the whole run — are invariant to the shard layout: the engine returns
-// identical results for any Shards/SampleWorkers setting.
+// restores a warmed checkpoint and warm-forwards to its position, which
+// takes no steps when the library's stride divides the FF period (the
+// suite's libraries checkpoint every period) and the position is at or
+// below its last checkpoint. Restoring is bit-identical to continuous
+// simulation, and window BBVs drop the tracker's pending ops at every
+// boundary, so the windows — and therefore the whole run — are invariant
+// to the shard layout: the engine returns identical results for any
+// Shards/SampleWorkers setting.
 //
 // Live semantics differ in one documented respect from the serial
 // sampling.LiveTarget: the serial target carries pending (post-last-branch)

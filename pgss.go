@@ -224,7 +224,8 @@ func NewSource(p *Profile) Source { return parallel.NewProfileSource(p) }
 // NewLiveSource drives fresh simulations of prog through a checkpoint
 // library recorded from it on the processor cc: shards fast-forward
 // architecture-only from their nearest checkpoint, and samples warm forward
-// from theirs and execute detailed simulation on a pool of cores. totalOps
+// from theirs (no distance at all when the library's stride divides the FF
+// period) and execute detailed simulation on a pool of cores. totalOps
 // is the recorded program length the library covers; trueIPC may be zero
 // when unknown. Like NewLiveTarget, the source tracks both signature
 // channels.
