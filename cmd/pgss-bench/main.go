@@ -54,8 +54,8 @@ func main() {
 	camp := flag.String("campaign", "", "run a campaign of the given techniques ('all' or comma-separated) instead of figures")
 	seeds := flag.Int("seeds", 1, "campaign: seeds per benchmark × technique pair")
 	jobs := flag.Int("jobs", 0, "parallel workers for recording and campaigns (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "PGSS runs: concurrent fast-forward shards per run (0/1 = serial engine)")
-	sampleWorkers := flag.Int("sample-workers", 0, "PGSS runs: concurrent detailed-sample workers per run (0/1 = serial engine)")
+	shards := flag.Int("shards", 0, "PGSS-Live runs: concurrent fast-forward shards per run (0 = GOMAXPROCS)")
+	sampleWorkers := flag.Int("sample-workers", 0, "PGSS-Live runs: concurrent detailed-sample workers per run (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "campaign: per-run time budget (0 = unbounded)")
 	retries := flag.Int("retries", 2, "campaign: max attempts per run for retryable failures")
 	journal := flag.String("journal", "", "campaign: journal path (default campaign.jsonl under the store root)")

@@ -23,7 +23,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"pgss/internal/bbv"
@@ -246,27 +245,4 @@ func Sweep(scale uint64) []Config {
 		}
 	}
 	return out
-}
-
-// Best runs every configuration and returns the lowest-error result (the
-// "PGSS(best)" series of Fig 12) plus all results. Configurations that fail
-// are skipped, except when the context stops the sweep.
-func Best(ctx context.Context, t func() sampling.Target, sweep []Config) (best sampling.Result, all []sampling.Result, err error) {
-	for _, cfg := range sweep {
-		r, _, e := RunContext(ctx, t(), cfg)
-		if errors.Is(e, pgsserrors.ErrBudgetExceeded) {
-			return best, all, e
-		}
-		if e != nil {
-			continue
-		}
-		all = append(all, r)
-		if best.Technique == "" || r.ErrorPct() < best.ErrorPct() {
-			best = r
-		}
-	}
-	if best.Technique == "" {
-		return best, all, fmt.Errorf("pgss: %w", pgsserrors.ErrInfeasible)
-	}
-	return best, all, nil
 }

@@ -260,20 +260,6 @@ func TestSweepGrid(t *testing.T) {
 	}
 }
 
-func TestBestPicksMinimumError(t *testing.T) {
-	p := suiteProfile(t, "188.ammp", 20_000_000)
-	mk := func() sampling.Target { return sampling.NewProfileTarget(p) }
-	best, all, err := Best(context.Background(), mk, Sweep(10)[:6])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range all {
-		if r.ErrorPct() < best.ErrorPct() {
-			t.Error("Best did not pick the minimum")
-		}
-	}
-}
-
 func TestEstimateIsCPIWeighted(t *testing.T) {
 	// Construct a synthetic profile replay through a fake target with two
 	// phases of known CPI and check the combined estimate.

@@ -35,19 +35,15 @@ func Ablations(s *Suite) (*Report, error) {
 // sweepStats runs PGSS over the ten benchmarks with the given config and
 // returns mean error, mean samples, mean comparisons.
 func sweepStats(s *Suite, cfg core.Config) (errPct, samples, comparisons float64, err error) {
-	profiles, err := s.PaperTen()
+	results, sts, err := s.pgssTen(cfg)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	var errs, ns, cs []float64
-	for _, p := range profiles {
-		res, st, e := core.RunContext(s.ctx(), sampling.NewProfileTarget(p), cfg)
-		if e != nil {
-			return 0, 0, 0, e
-		}
+	for i, res := range results {
 		errs = append(errs, res.ErrorPct())
 		ns = append(ns, float64(res.Samples))
-		cs = append(cs, float64(st.Comparisons))
+		cs = append(cs, float64(sts[i].Comparisons))
 	}
 	return stats.Mean(errs), stats.Mean(ns), stats.Mean(cs), nil
 }

@@ -9,18 +9,140 @@ import (
 	"pgss/internal/cpu"
 	"pgss/internal/parallel"
 	"pgss/internal/pgsserrors"
+	"pgss/internal/profile"
 	"pgss/internal/sampling"
 	"pgss/internal/workload"
 )
 
-// CampaignTechniques lists the techniques the campaign runner can execute,
-// in report order. Seeded techniques (TurboSMARTS, SimPoint, Stratified)
-// vary with the spec seed; the deterministic ones ignore it.
-func CampaignTechniques() []string {
-	return []string{
-		"PGSS", "PGSS-Live", "PGSS-Adaptive", "SMARTS", "TurboSMARTS",
-		"SimPoint", "OnlineSimPoint", "Stratified", "2PSS", "RSS", "Full",
+// technique is one entry of the technique table: a campaign name plus a
+// run that builds the technique's paper configuration at the suite's scale
+// and runs it on one profile. Seeded techniques (TurboSMARTS, SimPoint,
+// Stratified, 2PSS, RSS) take the seed; the others ignore it.
+type technique struct {
+	name string
+	run  func(ctx context.Context, s *Suite, p *profile.Profile, seed int64) (sampling.Result, error)
+}
+
+// techniques is the technique table, in report order. Campaigns,
+// pgss-bench's technique list and the figures' paper-configuration rows
+// all read it.
+var techniques = []technique{
+	{"PGSS", func(ctx context.Context, s *Suite, p *profile.Profile, _ int64) (sampling.Result, error) {
+		res, _, err := core.RunContext(ctx, sampling.NewProfileTarget(p), core.DefaultConfig(s.Scale()))
+		return res, err
+	}},
+	{"PGSS-Live", runLive},
+	{"PGSS-Adaptive", func(ctx context.Context, s *Suite, p *profile.Profile, _ int64) (sampling.Result, error) {
+		res, _, err := core.RunAdaptive(ctx, sampling.NewProfileTarget(p), core.DefaultAdaptiveConfig(s.Scale()))
+		return res, err
+	}},
+	{"SMARTS", func(_ context.Context, s *Suite, p *profile.Profile, _ int64) (sampling.Result, error) {
+		return sampling.SMARTS(sampling.NewProfileTarget(p), sampling.DefaultSMARTSConfig(s.Scale()))
+	}},
+	{"TurboSMARTS", func(_ context.Context, s *Suite, p *profile.Profile, seed int64) (sampling.Result, error) {
+		cfg := sampling.DefaultTurboSMARTSConfig(s.Scale())
+		cfg.Seed = seed
+		return sampling.TurboSMARTS(p, cfg)
+	}},
+	{"SimPoint", func(_ context.Context, s *Suite, p *profile.Profile, seed int64) (sampling.Result, error) {
+		cfg := sampling.SimPointOverall(s.Scale())
+		cfg.Seed = seed
+		return sampling.SimPoint(p, cfg)
+	}},
+	{"OnlineSimPoint", func(_ context.Context, s *Suite, p *profile.Profile, _ int64) (sampling.Result, error) {
+		return sampling.OnlineSimPoint(p, sampling.OnlineSimPointOverall(s.Scale()))
+	}},
+	{"Stratified", func(_ context.Context, s *Suite, p *profile.Profile, seed int64) (sampling.Result, error) {
+		cfg := sampling.DefaultStratifiedConfig(s.Scale())
+		cfg.Seed = seed
+		return sampling.Stratified(p, cfg)
+	}},
+	{"2PSS", func(_ context.Context, s *Suite, p *profile.Profile, seed int64) (sampling.Result, error) {
+		cfg := sampling.DefaultTwoPhaseConfig(s.Scale())
+		cfg.Seed = seed
+		return sampling.TwoPhase(p, cfg)
+	}},
+	{"RSS", func(_ context.Context, s *Suite, p *profile.Profile, seed int64) (sampling.Result, error) {
+		cfg := sampling.DefaultRankedSetConfig(s.Scale())
+		cfg.Seed = seed
+		return sampling.RankedSet(p, cfg)
+	}},
+	{"Full", func(_ context.Context, _ *Suite, p *profile.Profile, _ int64) (sampling.Result, error) {
+		return sampling.Full(sampling.NewProfileTarget(p), p.BBVOps)
+	}},
+}
+
+// runLive is PGSS-Live: checkpoint-accelerated live execution on the
+// sharded engine. The benchmark's checkpoint library (recorded once,
+// shared via the artifact store when one is configured) lets every
+// detailed sample restore from the nearest stored checkpoint instead of
+// fast-forwarding from op 0. The recorded profile supplies only TrueIPC
+// for reporting.
+func runLive(ctx context.Context, s *Suite, p *profile.Profile, _ int64) (sampling.Result, error) {
+	lib, err := s.CheckpointLibrary(p.Benchmark)
+	if err != nil {
+		return sampling.Result{}, err
 	}
+	spec, err := workload.Get(p.Benchmark)
+	if err != nil {
+		return sampling.Result{}, err
+	}
+	// Cores must be built at the same length as the library's recording
+	// core (the snapshot pins the machine footprint); the profile's
+	// TotalOps is the retired count, which the generator may round. One
+	// program serves every shard and sample worker of the run.
+	prog, err := spec.Build(s.targetOps(spec))
+	if err != nil {
+		return sampling.Result{}, err
+	}
+	newCore := func() (*cpu.Core, error) { return coreOf(prog) }
+	src, err := parallel.NewLiveSource(lib, s.hash, newCore, p.TotalOps, p.TrueIPC())
+	if err != nil {
+		return sampling.Result{}, err
+	}
+	res, _, err := parallel.Run(ctx, src, core.DefaultConfig(s.Scale()),
+		parallel.Options{Shards: s.opts.Shards, SampleWorkers: s.opts.SampleWorkers})
+	return res, err
+}
+
+// lookupTechnique returns the table entry of the named technique.
+func lookupTechnique(name string) (technique, bool) {
+	for _, t := range techniques {
+		if t.name == name {
+			return t, true
+		}
+	}
+	return technique{}, false
+}
+
+// runTechnique runs the named technique at its paper configuration on p.
+func (s *Suite) runTechnique(ctx context.Context, name string, p *profile.Profile, seed int64) (sampling.Result, error) {
+	t, ok := lookupTechnique(name)
+	if !ok {
+		return sampling.Result{}, pgsserrors.Invalidf(
+			"experiments: unknown campaign technique %q (have %v)", name, CampaignTechniques())
+	}
+	return t.run(ctx, s, p, seed)
+}
+
+// paperRun returns a run of the named technique at its paper
+// configuration and seed 1, the seed every default configuration uses:
+// the figures' rows for a technique as the paper configures it.
+func (s *Suite) paperRun(name string) profileRun {
+	return func(p *profile.Profile) (sampling.Result, error) {
+		return s.runTechnique(s.ctx(), name, p, 1)
+	}
+}
+
+// CampaignTechniques lists the technique table's names in report order.
+// Seeded techniques (TurboSMARTS, SimPoint, Stratified, 2PSS, RSS) vary
+// with the spec seed; the deterministic ones ignore it.
+func CampaignTechniques() []string {
+	names := make([]string, len(techniques))
+	for i, t := range techniques {
+		names[i] = t.name
+	}
+	return names
 }
 
 // CampaignSpecs builds the benchmark × technique × seed grid. seeds = 1
@@ -37,109 +159,44 @@ func CampaignSpecs(benchmarks, techniques []string, seeds int) []campaign.Spec {
 }
 
 // CampaignRun executes one campaign spec: it resolves the benchmark's
-// profile (recording on first use, shared across runs) and dispatches to
-// the spec's technique at the suite's scale. It is the campaign.RunFunc of
-// the pgss-bench campaign mode.
+// profile (recording on first use, shared across runs) and runs the
+// spec's technique from the table at the suite's scale. It is the
+// campaign.RunFunc of the pgss-bench campaign mode.
 func (s *Suite) CampaignRun(ctx context.Context, sp campaign.Spec) (sampling.Result, error) {
 	p, err := s.Profile(sp.Benchmark)
 	if err != nil {
 		return sampling.Result{}, err
 	}
-	scale := s.Scale()
-	//pgss:enum technique
-	switch sp.Technique {
-	case "PGSS":
-		if s.opts.Shards > 1 || s.opts.SampleWorkers > 1 {
-			res, _, err := parallel.Run(ctx, parallel.NewProfileSource(p), core.DefaultConfig(scale),
-				parallel.Options{Shards: s.opts.Shards, SampleWorkers: s.opts.SampleWorkers})
-			return res, err
-		}
-		res, _, err := core.RunContext(ctx, sampling.NewProfileTarget(p), core.DefaultConfig(scale))
-		return res, err
-	case "PGSS-Live":
-		// Checkpoint-accelerated live execution: the benchmark's checkpoint
-		// library (recorded once, shared via the artifact store when one is
-		// configured) lets every detailed sample restore from the nearest
-		// stored checkpoint instead of fast-forwarding from op 0. The
-		// recorded profile supplies only TrueIPC for reporting.
-		lib, err := s.CheckpointLibrary(sp.Benchmark)
-		if err != nil {
-			return sampling.Result{}, err
-		}
-		spec, err := workload.Get(sp.Benchmark)
-		if err != nil {
-			return sampling.Result{}, err
-		}
-		// Cores must be built at the same length as the library's recording
-		// core (the snapshot pins the machine footprint); the profile's
-		// TotalOps is the retired count, which the generator may round.
-		// One program serves every shard and sample worker of the run.
-		prog, err := spec.Build(s.targetOps(spec))
-		if err != nil {
-			return sampling.Result{}, err
-		}
-		newCore := func() (*cpu.Core, error) { return coreOf(prog) }
-		src, err := parallel.NewLiveSource(lib, s.hash, newCore, p.TotalOps, p.TrueIPC())
-		if err != nil {
-			return sampling.Result{}, err
-		}
-		res, _, err := parallel.Run(ctx, src, core.DefaultConfig(scale),
-			parallel.Options{Shards: s.opts.Shards, SampleWorkers: s.opts.SampleWorkers})
-		return res, err
-	case "PGSS-Adaptive":
-		res, _, err := core.RunAdaptive(ctx, sampling.NewProfileTarget(p), core.DefaultAdaptiveConfig(scale))
-		return res, err
-	case "SMARTS":
-		return sampling.SMARTS(sampling.NewProfileTarget(p), sampling.DefaultSMARTSConfig(scale))
-	case "TurboSMARTS":
-		cfg := sampling.DefaultTurboSMARTSConfig(scale)
-		cfg.Seed = sp.Seed
-		return sampling.TurboSMARTS(p, cfg)
-	case "SimPoint":
-		cfg := sampling.SimPointOverall(scale)
-		cfg.Seed = sp.Seed
-		return sampling.SimPoint(p, cfg)
-	case "OnlineSimPoint":
-		return sampling.OnlineSimPoint(p, sampling.OnlineSimPointOverall(scale))
-	case "Stratified":
-		cfg := sampling.DefaultStratifiedConfig(scale)
-		cfg.Seed = sp.Seed
-		return sampling.Stratified(p, cfg)
-	case "2PSS":
-		cfg := sampling.DefaultTwoPhaseConfig(scale)
-		cfg.Seed = sp.Seed
-		return sampling.TwoPhase(p, cfg)
-	case "RSS":
-		cfg := sampling.DefaultRankedSetConfig(scale)
-		cfg.Seed = sp.Seed
-		return sampling.RankedSet(p, cfg)
-	case "Full":
-		return sampling.Full(sampling.NewProfileTarget(p), p.BBVOps)
-	default:
-		return sampling.Result{}, pgsserrors.Invalidf(
-			"experiments: unknown campaign technique %q (have %v)", sp.Technique, CampaignTechniques())
-	}
+	return s.runTechnique(ctx, sp.Technique, p, sp.Seed)
 }
 
-// ResolveTechniques expands "all" and validates technique names.
+// ResolveTechniques checks every name against the technique table,
+// expands "all" where it appears and drops repeated names, keeping the
+// order of first occurrence. No names means every technique.
 func ResolveTechniques(names []string) ([]string, error) {
-	known := map[string]bool{}
-	for _, t := range CampaignTechniques() {
-		known[t] = true
+	if len(names) == 0 {
+		return CampaignTechniques(), nil
 	}
 	var out []string
+	seen := map[string]bool{}
+	add := func(n string) {
+		if !seen[n] {
+			seen[n] = true
+			out = append(out, n)
+		}
+	}
 	for _, n := range names {
 		if n == "all" {
-			return CampaignTechniques(), nil
+			for _, t := range techniques {
+				add(t.name)
+			}
+			continue
 		}
-		if !known[n] {
+		if _, ok := lookupTechnique(n); !ok {
 			return nil, fmt.Errorf("experiments: unknown technique %q (have %v or 'all')",
 				n, CampaignTechniques())
 		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return CampaignTechniques(), nil
+		add(n)
 	}
 	return out, nil
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"pgss/internal/core"
-	"pgss/internal/sampling"
 	"pgss/internal/stats"
 )
 
@@ -29,7 +27,6 @@ func Coverage(s *Suite) (*Report, error) {
 	}
 	r := NewReport("coverage", "empirical coverage of the ±3% @ 99.7% confidence bound")
 	const seeds = 40
-	scale := s.Scale()
 
 	t := r.AddTable("TurboSMARTS bound coverage per benchmark",
 		"benchmark", "runs_within_3%", "coverage", "worst_error", "median_samples")
@@ -39,9 +36,7 @@ func Coverage(s *Suite) (*Report, error) {
 		var worst float64
 		var sampleCounts []float64
 		for seed := int64(1); seed <= seeds; seed++ {
-			cfg := sampling.DefaultTurboSMARTSConfig(scale)
-			cfg.Seed = seed
-			res, err := sampling.TurboSMARTS(p, cfg)
+			res, err := s.runTechnique(s.ctx(), "TurboSMARTS", p, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -65,18 +60,18 @@ func Coverage(s *Suite) (*Report, error) {
 	// target the per-phase bounds aim at.
 	pt := r.AddTable("PGSS (1M/.05π) error vs the same ±3% target",
 		"benchmark", "error", "within_3%")
+	results, err := s.overTen(s.paperRun("PGSS"))
+	if err != nil {
+		return nil, err
+	}
 	pgssWithin := 0
-	for _, p := range profiles {
-		res, _, err := core.RunContext(s.ctx(), sampling.NewProfileTarget(p), core.DefaultConfig(scale))
-		if err != nil {
-			return nil, err
-		}
+	for _, res := range results {
 		ok := "no"
 		if res.ErrorPct() <= 3 {
 			ok = "yes"
 			pgssWithin++
 		}
-		pt.AddRow(shortName(p.Benchmark), pct(res.ErrorPct()), ok)
+		pt.AddRow(shortName(res.Benchmark), pct(res.ErrorPct()), ok)
 	}
 	r.Metrics["pgss_within_3pct_of_10"] = float64(pgssWithin)
 	r.Notef("TurboSMARTS' nominal 99.7%% bound covers only %.1f%% of runs on average (paper: errors fall 'well outside these bounds'); PGSS meets the same target on %d/10 benchmarks deterministically",

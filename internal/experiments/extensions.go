@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"pgss/internal/core"
+	"pgss/internal/profile"
 	"pgss/internal/sampling"
 	"pgss/internal/stats"
 )
@@ -13,61 +14,32 @@ import (
 // they change the execution substrate rather than the estimate, so they
 // are not comparable in this table.)
 func Extensions(s *Suite) (*Report, error) {
-	profiles, err := s.PaperTen()
-	if err != nil {
-		return nil, err
-	}
 	r := NewReport("extensions", "§7 future-work extensions vs fixed-parameter PGSS")
+	t := r.AddTable("sampling error (%) and mean detailed ops",
+		tenHeader([]string{"variant"}, "A-Mean", "detail(A-Mean)")...)
 
-	header := append([]string{"variant"}, func() []string {
-		h := make([]string, 0, len(profiles)+2)
-		for _, p := range profiles {
-			h = append(h, shortName(p.Benchmark))
-		}
-		return append(h, "A-Mean", "detail(A-Mean)")
-	}()...)
-	t := r.AddTable("sampling error (%) and mean detailed ops", header...)
-
-	type variant struct {
-		label string
-		run   func(tgt sampling.Target) (sampling.Result, error)
-	}
-	scale := s.Scale()
-	fixedCfg := core.DefaultConfig(scale)
-	guardCfg := fixedCfg
+	guardCfg := core.DefaultConfig(s.Scale())
 	guardCfg.GuardTransitions = true
-	adaptiveCfg := core.DefaultAdaptiveConfig(scale)
-
-	stratCfg := sampling.DefaultStratifiedConfig(scale)
-	variants := []variant{
-		{"PGSS fixed (1M/.05π)", func(tgt sampling.Target) (sampling.Result, error) {
-			res, _, err := core.RunContext(s.ctx(), tgt, fixedCfg)
+	variants := []struct {
+		label string
+		run   profileRun
+	}{
+		{"PGSS fixed (1M/.05π)", s.paperRun("PGSS")},
+		{"Stratified [17] (oracle strata)", s.paperRun("Stratified")},
+		{"PGSS + transition guard", func(p *profile.Profile) (sampling.Result, error) {
+			res, _, err := core.RunContext(s.ctx(), sampling.NewProfileTarget(p), guardCfg)
 			return res, err
 		}},
-		{"Stratified [17] (oracle strata)", func(tgt sampling.Target) (sampling.Result, error) {
-			pt, ok := tgt.(*sampling.ProfileTarget)
-			if !ok {
-				return sampling.Result{}, nil
-			}
-			return sampling.Stratified(pt.Profile(), stratCfg)
-		}},
-		{"PGSS + transition guard", func(tgt sampling.Target) (sampling.Result, error) {
-			res, _, err := core.RunContext(s.ctx(), tgt, guardCfg)
-			return res, err
-		}},
-		{"PGSS adaptive", func(tgt sampling.Target) (sampling.Result, error) {
-			res, _, err := core.RunAdaptive(s.ctx(), tgt, adaptiveCfg)
-			return res, err
-		}},
+		{"PGSS adaptive", s.paperRun("PGSS-Adaptive")},
 	}
 	for _, v := range variants {
+		results, err := s.overTen(v.run)
+		if err != nil {
+			return nil, err
+		}
 		row := []string{v.label}
 		var errs, det []float64
-		for _, p := range profiles {
-			res, err := v.run(sampling.NewProfileTarget(p))
-			if err != nil {
-				return nil, err
-			}
+		for _, res := range results {
 			errs = append(errs, res.ErrorPct())
 			det = append(det, float64(res.Costs.DetailedTotal()))
 			row = append(row, pct(res.ErrorPct()))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pgss/internal/core"
-	"pgss/internal/sampling"
 	"pgss/internal/stats"
 )
 
@@ -15,32 +14,22 @@ import (
 // overall; 179.art and 181.mcf perform poorly at short BBV periods because
 // their high-frequency micro-phases straddle sampling windows.
 func Fig11(s *Suite) (*Report, error) {
-	profiles, err := s.PaperTen()
-	if err != nil {
-		return nil, err
-	}
 	r := NewReport("fig11", "PGSS sampling error across BBV periods and thresholds")
 
 	configs := core.Sweep(s.Scale())
-	header := append([]string{"period", "thresh"}, func() []string {
-		h := make([]string, 0, len(profiles)+2)
-		for _, p := range profiles {
-			h = append(h, shortName(p.Benchmark))
-		}
-		return append(h, "A-Mean", "G-Mean")
-	}()...)
-	t := r.AddTable("sampling error (% of benchmark IPC)", header...)
+	t := r.AddTable("sampling error (% of benchmark IPC)",
+		tenHeader([]string{"period", "thresh"}, "A-Mean", "G-Mean")...)
 
 	bestAM := -1.0
 	var bestCfg core.Config
 	for _, cfg := range configs {
 		row := []string{eng(float64(cfg.FFOps)), fmt.Sprintf(".%02dπ", int(cfg.ThresholdPi*100+0.5))}
+		results, _, err := s.pgssTen(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("fig11: %s: %w", cfg, err)
+		}
 		var errs []float64
-		for _, p := range profiles {
-			res, _, err := core.RunContext(s.ctx(), sampling.NewProfileTarget(p), cfg)
-			if err != nil {
-				return nil, fmt.Errorf("fig11: %s %s: %w", p.Benchmark, cfg, err)
-			}
+		for _, res := range results {
 			errs = append(errs, res.ErrorPct())
 			row = append(row, pct(res.ErrorPct()))
 		}

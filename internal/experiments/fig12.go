@@ -1,126 +1,39 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"pgss/internal/core"
+	"pgss/internal/pgsserrors"
 	"pgss/internal/profile"
 	"pgss/internal/sampling"
 	"pgss/internal/stats"
 )
 
-// techniqueRuns holds one technique's results across the ten benchmarks.
-type techniqueRuns struct {
-	label   string
-	results []sampling.Result
-}
-
-func (t *techniqueRuns) errors() []float64 {
-	out := make([]float64, len(t.results))
-	for i, r := range t.results {
-		out[i] = r.ErrorPct()
-	}
-	return out
-}
-
-func (t *techniqueRuns) detailed() []float64 {
-	out := make([]float64, len(t.results))
-	for i, r := range t.results {
-		out[i] = float64(r.Costs.DetailedTotal())
-	}
-	return out
-}
-
-// Fig12Data is the structured outcome of the Fig 12 comparison, reused by
-// Fig 13's time model and by tests.
-type Fig12Data struct {
-	Techniques []*techniqueRuns
-}
-
-// ByLabel returns the runs of one technique.
-func (d *Fig12Data) ByLabel(label string) *techniqueRuns {
-	for _, t := range d.Techniques {
-		if t.label == label {
-			return t
+// bestOf runs every configuration of a sweep and returns the lowest-error
+// result: the "best per benchmark" rows of Fig 12. A configuration that
+// fails (say, an interval longer than the program) is skipped, but an
+// ErrBudgetExceeded-classed error stops the sweep.
+func bestOf[C any](sweep []C, run func(C) (sampling.Result, error)) (sampling.Result, error) {
+	var best sampling.Result
+	found := false
+	for _, cfg := range sweep {
+		r, err := run(cfg)
+		if errors.Is(err, pgsserrors.ErrBudgetExceeded) {
+			return best, err
+		}
+		if err != nil {
+			continue
+		}
+		if !found || r.ErrorPct() < best.ErrorPct() {
+			best, found = r, true
 		}
 	}
-	return nil
-}
-
-// runFig12 executes all eight technique configurations of Figure 12 over
-// the ten benchmarks.
-func runFig12(s *Suite) (*Fig12Data, error) {
-	profiles, err := s.PaperTen()
-	if err != nil {
-		return nil, err
+	if !found {
+		return best, pgsserrors.Infeasiblef("experiments: every configuration of the sweep failed")
 	}
-	scale := s.Scale()
-	d := &Fig12Data{}
-	add := func(label string, run func(p *profile.Profile) (sampling.Result, error)) error {
-		tr := &techniqueRuns{label: label}
-		for _, p := range profiles {
-			res, err := run(p)
-			if err != nil {
-				return fmt.Errorf("fig12: %s on %s: %w", label, p.Benchmark, err)
-			}
-			tr.results = append(tr.results, res)
-		}
-		d.Techniques = append(d.Techniques, tr)
-		return nil
-	}
-
-	smartsCfg := sampling.DefaultSMARTSConfig(scale)
-	if err := add("SMARTS", func(p *profile.Profile) (sampling.Result, error) {
-		return sampling.SMARTS(sampling.NewProfileTarget(p), smartsCfg)
-	}); err != nil {
-		return nil, err
-	}
-	if err := add("TurboSMARTS", func(p *profile.Profile) (sampling.Result, error) {
-		return sampling.TurboSMARTS(p, sampling.DefaultTurboSMARTSConfig(scale))
-	}); err != nil {
-		return nil, err
-	}
-	spSweep := sampling.SimPointSweep(scale)
-	if err := add("SimPoint(best)", func(p *profile.Profile) (sampling.Result, error) {
-		best, _, err := sampling.SimPointBest(p, spSweep)
-		return best, err
-	}); err != nil {
-		return nil, err
-	}
-	spOverall := sampling.SimPointOverall(scale)
-	if err := add("SimPoint(10x100M)", func(p *profile.Profile) (sampling.Result, error) {
-		return sampling.SimPoint(p, spOverall)
-	}); err != nil {
-		return nil, err
-	}
-	ospSweep := sampling.OnlineSimPointSweep(scale)
-	if err := add("OnlineSP(best)", func(p *profile.Profile) (sampling.Result, error) {
-		best, _, err := sampling.OnlineSimPointBest(p, ospSweep)
-		return best, err
-	}); err != nil {
-		return nil, err
-	}
-	ospOverall := sampling.OnlineSimPointOverall(scale)
-	if err := add("OnlineSP(100M/.1)", func(p *profile.Profile) (sampling.Result, error) {
-		return sampling.OnlineSimPoint(p, ospOverall)
-	}); err != nil {
-		return nil, err
-	}
-	pgssSweep := core.Sweep(scale)
-	if err := add("PGSS(best)", func(p *profile.Profile) (sampling.Result, error) {
-		best, _, err := core.Best(s.ctx(), func() sampling.Target { return sampling.NewProfileTarget(p) }, pgssSweep)
-		return best, err
-	}); err != nil {
-		return nil, err
-	}
-	pgssOverall := core.DefaultConfig(scale)
-	if err := add("PGSS(1M/.05)", func(p *profile.Profile) (sampling.Result, error) {
-		res, _, err := core.RunContext(s.ctx(), sampling.NewProfileTarget(p), pgssOverall)
-		return res, err
-	}); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return best, nil
 }
 
 // Fig12 regenerates Figure 12: sampling error and detailed-simulation
@@ -130,47 +43,59 @@ func runFig12(s *Suite) (*Fig12Data, error) {
 //   - PGSS needs ~an order of magnitude less detailed simulation than
 //     SMARTS and 2–3 orders less than SimPoint.
 func Fig12(s *Suite) (*Report, error) {
-	d, err := runFig12(s)
-	if err != nil {
-		return nil, err
+	scale := s.Scale()
+	rows := []struct {
+		label string
+		run   profileRun
+	}{
+		{"SMARTS", s.paperRun("SMARTS")},
+		{"TurboSMARTS", s.paperRun("TurboSMARTS")},
+		{"SimPoint(best)", func(p *profile.Profile) (sampling.Result, error) {
+			return bestOf(sampling.SimPointSweep(scale), func(cfg sampling.SimPointConfig) (sampling.Result, error) {
+				return sampling.SimPoint(p, cfg)
+			})
+		}},
+		{"SimPoint(10x100M)", s.paperRun("SimPoint")},
+		{"OnlineSP(best)", func(p *profile.Profile) (sampling.Result, error) {
+			return bestOf(sampling.OnlineSimPointSweep(scale), func(cfg sampling.OnlineSimPointConfig) (sampling.Result, error) {
+				return sampling.OnlineSimPoint(p, cfg)
+			})
+		}},
+		{"OnlineSP(100M/.1)", s.paperRun("OnlineSimPoint")},
+		{"PGSS(best)", func(p *profile.Profile) (sampling.Result, error) {
+			return bestOf(core.Sweep(scale), func(cfg core.Config) (sampling.Result, error) {
+				res, _, err := core.RunContext(s.ctx(), sampling.NewProfileTarget(p), cfg)
+				return res, err
+			})
+		}},
+		{"PGSS(1M/.05)", s.paperRun("PGSS")},
 	}
-	profiles, err := s.PaperTen()
-	if err != nil {
-		return nil, err
+	runs := make([][]sampling.Result, len(rows))
+	for i, row := range rows {
+		var err error
+		if runs[i], err = s.overTen(row.run); err != nil {
+			return nil, fmt.Errorf("fig12: %s on %w", row.label, err)
+		}
 	}
+
 	r := NewReport("fig12", "sampling error and detailed simulation by technique, 10 benchmarks")
-
-	header := append([]string{"technique"}, func() []string {
-		h := make([]string, 0, len(profiles)+2)
-		for _, p := range profiles {
-			h = append(h, shortName(p.Benchmark))
-		}
-		return append(h, "A-Mean", "G-Mean")
-	}()...)
-
+	header := tenHeader([]string{"technique"}, "A-Mean", "G-Mean")
 	et := r.AddTable("sampling error (% of benchmark IPC)", header...)
-	for _, tr := range d.Techniques {
-		row := []string{tr.label}
-		for _, res := range tr.results {
-			row = append(row, pct(res.ErrorPct()))
-		}
-		errs := tr.errors()
-		am, gm := stats.ArithmeticMean(errs), stats.GeometricMean(errs)
-		row = append(row, pct(am), pct(gm))
-		et.AddRow(row...)
-		r.Metrics["err_amean_"+tr.label] = am
-	}
-
 	dt := r.AddTable("detailed simulation (ops, incl. detailed warming)", header...)
-	for _, tr := range d.Techniques {
-		row := []string{tr.label}
-		for _, res := range tr.results {
-			row = append(row, eng(float64(res.Costs.DetailedTotal())))
+	for i, row := range rows {
+		errs := make([]float64, len(runs[i]))
+		det := make([]float64, len(runs[i]))
+		ecells, dcells := []string{row.label}, []string{row.label}
+		for j, res := range runs[i] {
+			errs[j], det[j] = res.ErrorPct(), float64(res.Costs.DetailedTotal())
+			ecells = append(ecells, pct(errs[j]))
+			dcells = append(dcells, eng(det[j]))
 		}
-		det := tr.detailed()
-		row = append(row, eng(stats.ArithmeticMean(det)), eng(stats.GeometricMean(det)))
-		dt.AddRow(row...)
-		r.Metrics["det_amean_"+tr.label] = stats.ArithmeticMean(det)
+		am, gm := stats.ArithmeticMean(errs), stats.GeometricMean(errs)
+		et.AddRow(append(ecells, pct(am), pct(gm))...)
+		dt.AddRow(append(dcells, eng(stats.ArithmeticMean(det)), eng(stats.GeometricMean(det)))...)
+		r.Metrics["err_amean_"+row.label] = am
+		r.Metrics["det_amean_"+row.label] = stats.ArithmeticMean(det)
 	}
 
 	// Headline ratios.

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"pgss/internal/sampling"
 	"pgss/internal/timemodel"
 )
@@ -9,35 +11,32 @@ import (
 // benchmarks for SMARTS, SimPoint (10 clusters × 100M ops), online
 // SimPoint (100M/.1π) and PGSS-Sim (1M/.05π), priced with the per-mode
 // simulation rates the paper measured for its simulator (no
-// checkpointing). Costs come from the same runs as Fig 12; only the
-// overall configurations are shown, as in the paper.
+// checkpointing). Each row runs its technique at the paper's overall
+// configuration, as the paper shows; Fig 12 adds the best-per-benchmark
+// sweeps.
 func Fig13(s *Suite) (*Report, error) {
-	d, err := runFig12(s)
-	if err != nil {
-		return nil, err
-	}
 	r := NewReport("fig13", "total simulation time by technique (paper per-mode rates)")
 	rates := timemodel.PaperRates()
 
 	rows := []struct {
-		figLabel string
-		runLabel string
+		figLabel  string
+		technique string
 	}{
 		{"SMARTS", "SMARTS"},
-		{"SimPoint", "SimPoint(10x100M)"},
-		{"OL SimPoint", "OnlineSP(100M/.1)"},
-		{"PGSS-Sim", "PGSS(1M/.05)"},
+		{"SimPoint", "SimPoint"},
+		{"OL SimPoint", "OnlineSimPoint"},
+		{"PGSS-Sim", "PGSS"},
 	}
 	t := r.AddTable("simulation time (seconds, 10 benchmarks summed)",
 		"technique", "plain_ff", "functional_warm", "detailed_warm", "detailed", "detailed_total", "total")
 	for _, row := range rows {
-		tr := d.ByLabel(row.runLabel)
-		if tr == nil {
-			continue
+		results, err := s.overTen(s.paperRun(row.technique))
+		if err != nil {
+			return nil, fmt.Errorf("fig13: %s on %w", row.technique, err)
 		}
-		var costs []sampling.Costs
-		for _, res := range tr.results {
-			costs = append(costs, res.Costs)
+		costs := make([]sampling.Costs, len(results))
+		for i, res := range results {
+			costs[i] = res.Costs
 		}
 		b := rates.ApplyAll(costs)
 		t.AddRow(row.figLabel, f2(b.PlainFFSec), f2(b.FunctionalSec),

@@ -53,9 +53,10 @@ type Options struct {
 	Quiet bool
 	// Jobs bounds parallel profile recording (0 = GOMAXPROCS).
 	Jobs int
-	// Shards and SampleWorkers enable the checkpoint-sharded parallel
-	// engine for PGSS campaign runs when either exceeds 1; results are
-	// bit-identical to serial execution (see internal/parallel).
+	// Shards and SampleWorkers set the concurrent fast-forward shards and
+	// detailed-sample workers of each PGSS-Live run (0 = GOMAXPROCS);
+	// results are bit-identical at every setting (see internal/parallel).
+	// Every other technique runs serially.
 	Shards        int
 	SampleWorkers int
 	// Context, when set, cancels in-flight recording and simulation
@@ -294,6 +295,36 @@ func (s *Suite) PaperTen() ([]*profile.Profile, error) {
 	return out, nil
 }
 
+// profileRun runs one configuration on one profile.
+type profileRun func(p *profile.Profile) (sampling.Result, error)
+
+// overTen runs run on each of the ten evaluation profiles, in figure
+// order.
+func (s *Suite) overTen(run profileRun) ([]sampling.Result, error) {
+	profiles, err := s.PaperTen()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]sampling.Result, len(profiles))
+	for i, p := range profiles {
+		if out[i], err = run(p); err != nil {
+			return nil, fmt.Errorf("%s: %w", p.Benchmark, err)
+		}
+	}
+	return out, nil
+}
+
+// pgssTen runs the PGSS engine at cfg on the ten evaluation profiles.
+func (s *Suite) pgssTen(cfg core.Config) ([]sampling.Result, []core.Stats, error) {
+	var sts []core.Stats
+	results, err := s.overTen(func(p *profile.Profile) (sampling.Result, error) {
+		res, st, err := core.RunContext(s.ctx(), sampling.NewProfileTarget(p), cfg)
+		sts = append(sts, st)
+		return res, err
+	})
+	return results, sts, err
+}
+
 // recordParallel records several benchmarks through the campaign runner:
 // worker-pool parallelism, panic recovery and cancellation for free. A
 // recording campaign keeps no journal — the artifact store already makes
@@ -448,6 +479,16 @@ func shortName(name string) string {
 		}
 	}
 	return name
+}
+
+// tenHeader is a table header of the lead columns, one column per
+// evaluation benchmark (short name, figure order) and the tail columns.
+func tenHeader(lead []string, tail ...string) []string {
+	h := append([]string(nil), lead...)
+	for _, n := range PaperTenNames() {
+		h = append(h, shortName(n))
+	}
+	return append(h, tail...)
 }
 
 // sortedKeys returns map keys sorted (test/report determinism helper).

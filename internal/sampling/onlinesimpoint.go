@@ -128,22 +128,3 @@ func OnlineSimPoint(p *profile.Profile, cfg OnlineSimPointConfig) (Result, error
 	res.Costs.FunctionalWarm = p.TotalOps - res.Costs.Detailed
 	return res, nil
 }
-
-// OnlineSimPointBest sweeps the configurations and returns the
-// lowest-error result plus all results.
-func OnlineSimPointBest(p *profile.Profile, sweep []OnlineSimPointConfig) (best Result, all []Result, err error) {
-	for _, cfg := range sweep {
-		r, e := OnlineSimPoint(p, cfg)
-		if e != nil {
-			continue
-		}
-		all = append(all, r)
-		if best.Technique == "" || r.ErrorPct() < best.ErrorPct() {
-			best = r
-		}
-	}
-	if best.Technique == "" {
-		return best, all, fmt.Errorf("sampling: online simpoint: %w", pgsserrors.ErrInfeasible)
-	}
-	return best, all, nil
-}

@@ -244,23 +244,6 @@ func TestSimPointSweepShape(t *testing.T) {
 	}
 }
 
-func TestSimPointBestPicksLowestError(t *testing.T) {
-	p := suiteProfile(t, "177.mesa", 2_000_000)
-	sweep := []SimPointConfig{
-		{IntervalOps: 100_000, K: 1, Seed: 1},
-		{IntervalOps: 100_000, K: 5, Seed: 1},
-	}
-	best, all, err := SimPointBest(p, sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range all {
-		if r.ErrorPct() < best.ErrorPct() {
-			t.Error("best is not the minimum")
-		}
-	}
-}
-
 func TestOnlineSimPoint(t *testing.T) {
 	p := suiteProfile(t, "177.mesa", 2_000_000)
 	cfg := OnlineSimPointConfig{IntervalOps: 100_000, ThresholdPi: 0.1}

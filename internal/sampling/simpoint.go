@@ -196,25 +196,3 @@ func SimPointAuto(p *profile.Profile, intervalOps uint64, maxK int, seed int64) 
 	res.Config = fmt.Sprintf("auto(BIC)=%s", res.Config)
 	return res, nil
 }
-
-// SimPointBest runs every configuration in the sweep and returns the
-// result with the lowest error — the "best per benchmark" series of
-// Fig 12 — plus all individual results.
-func SimPointBest(p *profile.Profile, sweep []SimPointConfig) (best Result, all []Result, err error) {
-	for _, cfg := range sweep {
-		r, e := SimPoint(p, cfg)
-		if e != nil {
-			// Configurations too coarse for the program (interval larger
-			// than the run) are skipped, as they would be in practice.
-			continue
-		}
-		all = append(all, r)
-		if best.Technique == "" || r.ErrorPct() < best.ErrorPct() {
-			best = r
-		}
-	}
-	if best.Technique == "" {
-		return best, all, fmt.Errorf("sampling: simpoint: %w", pgsserrors.ErrInfeasible)
-	}
-	return best, all, nil
-}
