@@ -1,18 +1,20 @@
 // Package exhaustive checks that switches over the tree's registries
-// cover every member, so adding a technique (PGSS-Live once it lands),
-// a signature channel or an error kind can never silently fall through
-// to a stale default. Coverage is opt-in — the ISA opcode tables have
-// hundreds of intentionally partial switches — through two routes:
+// cover every member, so adding a signature channel, a kernel mode or an
+// error kind can never silently fall through to a stale default.
+// Coverage is opt-in — the ISA opcode tables have hundreds of
+// intentionally partial switches — through two routes:
 //
 //   - Typed enums. A named type is registered either in the builtin
 //     table below (bbv.Channel) or by a `//pgss:enum` comment on its
 //     declaration; every switch anywhere over that type must then name
 //     every package-scope constant of the type.
 //   - String registries. A switch over plain strings opts in with
-//     `//pgss:enum technique` or `//pgss:enum errorkind` on the switch
-//     line (or the line above); membership comes from the registry
-//     tables here, which are sync-tested against the live sources
-//     (experiments.CampaignTechniques, pgsserrors.Kinds).
+//     `//pgss:enum errorkind` on the switch line (or the line above);
+//     membership comes from the registry table here, which is
+//     sync-tested against the live source (pgsserrors.Kinds).
+//
+// Campaign techniques need no registry: callers look them up in one
+// table (internal/experiments) instead of switching over their names.
 //
 // A default clause does not excuse missing members: the point is that
 // growth of the registry forces a decision at every registered switch.
@@ -36,7 +38,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "exhaustive",
-	Doc: "registered enum switches (technique, channel, error-kind) must " +
+	Doc: "registered enum switches (channel, kernel mode, error-kind) must " +
 		"cover every registry member; default does not excuse",
 	Run: run,
 }
@@ -48,22 +50,9 @@ var builtinEnumTypes = map[string]bool{
 }
 
 // stringRegistries back the `//pgss:enum <name>` switch directives.
-// Kept as literals so the analyzer stays dependency-free; the
-// *_sync_test.go files pin them to the live registries.
+// Kept as literals so the analyzer stays dependency-free; sync_test.go
+// pins them to the live registries.
 var stringRegistries = map[string][]string{
-	"technique": {
-		"PGSS",
-		"PGSS-Live",
-		"PGSS-Adaptive",
-		"SMARTS",
-		"TurboSMARTS",
-		"SimPoint",
-		"OnlineSimPoint",
-		"Stratified",
-		"2PSS",
-		"RSS",
-		"Full",
-	},
 	"errorkind": {
 		"invalid-config",
 		"misaligned-window",

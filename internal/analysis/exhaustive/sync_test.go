@@ -4,21 +4,12 @@ import (
 	"reflect"
 	"testing"
 
-	"pgss/internal/experiments"
 	"pgss/internal/pgsserrors"
 )
 
-// The analyzer's registry literals must track the live registries: a
-// technique or error kind added there without updating the analyzer
-// would silently weaken every registered switch.
-
-func TestTechniqueRegistryMatchesCampaign(t *testing.T) {
-	want := experiments.CampaignTechniques()
-	got := Registry("technique")
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("technique registry out of sync with experiments.CampaignTechniques():\nanalyzer: %v\nlive:     %v", got, want)
-	}
-}
+// The analyzer's registry literals must track the live registries: an
+// error kind added there without updating the analyzer would silently
+// weaken every registered switch.
 
 func TestErrorKindRegistryMatchesTaxonomy(t *testing.T) {
 	want := pgsserrors.Kinds()

@@ -64,31 +64,32 @@ func unregistered(l loose) int {
 	return 0
 }
 
-// A directive ties a string switch to the technique registry.
-func missingTechnique(name string) bool {
-	//pgss:enum technique
-	switch name { // want "switch over technique registry does not cover \"PGSS-Live\""
-	case "PGSS", "PGSS-Adaptive", "SMARTS", "TurboSMARTS", "SimPoint",
-		"OnlineSimPoint", "Stratified", "2PSS", "RSS", "Full":
+// A directive ties a string switch to the error-kind registry.
+func missingKind(kind string) bool {
+	//pgss:enum errorkind
+	switch kind { // want "switch over errorkind registry does not cover \"worker-stalled\""
+	case "invalid-config", "misaligned-window", "budget-exceeded", "cache-corrupt",
+		"run-panicked", "interrupted", "infeasible", "io", "other":
 		return true
 	default:
 		return false
 	}
 }
 
-// Covering every technique is clean.
-func fullTechnique(name string) bool {
-	//pgss:enum technique
-	switch name {
-	case "PGSS", "PGSS-Live", "PGSS-Adaptive", "SMARTS", "TurboSMARTS",
-		"SimPoint", "OnlineSimPoint", "Stratified", "2PSS", "RSS", "Full":
+// Covering every kind is clean.
+func fullKind(kind string) bool {
+	//pgss:enum errorkind
+	switch kind {
+	case "invalid-config", "misaligned-window", "budget-exceeded", "cache-corrupt",
+		"run-panicked", "interrupted", "infeasible", "io", "worker-stalled", "other":
 		return true
 	default:
 		return false
 	}
 }
 
-// The error-kind registry works the same way.
+// Grouped clauses cover together, and missing members are listed in
+// registry order.
 func kindClass(kind string) int {
 	//pgss:enum errorkind
 	switch kind { // want "switch over errorkind registry does not cover \"interrupted\", \"infeasible\", \"io\", \"worker-stalled\", \"other\""
@@ -102,9 +103,9 @@ func kindClass(kind string) int {
 
 // A typo in the registry name is itself a finding.
 func typoRegistry(name string) bool {
-	//pgss:enum technqiue
-	switch name { // want "unknown enum registry \"technqiue\""
-	case "PGSS":
+	//pgss:enum errrorkind
+	switch name { // want "unknown enum registry \"errrorkind\""
+	case "io":
 		return true
 	}
 	return false
@@ -113,7 +114,7 @@ func typoRegistry(name string) bool {
 // Undirected string switches are never checked.
 func undirected(name string) bool {
 	switch name {
-	case "PGSS":
+	case "io":
 		return true
 	}
 	return false
