@@ -64,19 +64,12 @@ func main() {
 	fmt.Printf("%s: %d ops, true IPC %.4f, interval σ@%d = %.4f\n\n",
 		prof.Benchmark, prof.TotalOps, prof.TrueIPC(), *gran, sigma)
 
-	bbvs, err := prof.BBVSeries(*gran)
+	fullIPCs, bbvs, err := prof.FullWindowSeries(*gran)
 	check(err)
-	n := prof.NumFullWindows(*gran)
-	if len(ipcs) < n {
-		n = len(ipcs)
-	}
-	if len(bbvs) < n {
-		n = len(bbvs)
-	}
 
 	analyse := func(th float64) (*phase.Table, []int) {
 		table := phase.MustNewTable(th * math.Pi)
-		ids := table.ClassifySeries(bbvs[:n], *gran)
+		ids := table.ClassifySeries(bbvs, *gran)
 		return table, ids
 	}
 
@@ -87,7 +80,7 @@ func main() {
 			table, ids := analyse(th)
 			fmt.Printf(".%03dπ %11d %12d %18.0f %12.3f\n",
 				int(th*1000+0.5), table.NumPhases(), table.Transitions,
-				table.MeanRunLength()*float64(*gran), withinPhaseSigma(table, ids, ipcs[:n], sigma))
+				table.MeanRunLength()*float64(*gran), table.WithinPhaseSigma(ids, fullIPCs, sigma))
 		}
 		return
 	}
@@ -102,21 +95,21 @@ func main() {
 		total += p.Ops
 	}
 	acc := make([]stats.Running, table.NumPhases())
-	for i := 0; i < n; i++ {
-		acc[ids[i]].Add(ipcs[i])
+	for i, id := range ids {
+		acc[id].Add(fullIPCs[i])
 	}
 	for _, p := range table.Phases() {
 		fmt.Printf("%6d %10d %7.2f%% %10.4f %10.4f\n",
 			p.ID, p.Intervals, float64(p.Ops)/float64(total)*100,
 			acc[p.ID].Mean(), acc[p.ID].StdDev())
 	}
-	printMAVDiagnostics(prof, table, ids, n, *gran)
+	printMAVDiagnostics(prof, table, ids, *gran)
 }
 
 // printMAVDiagnostics prints the per-phase memory-access-vector table:
 // access density (the MAV counts loads and stores combined) and how
 // concentrated each phase's accesses are on its hottest hashed lines.
-func printMAVDiagnostics(prof *profile.Profile, table *phase.Table, ids []int, n int, gran uint64) {
+func printMAVDiagnostics(prof *profile.Profile, table *phase.Table, ids []int, gran uint64) {
 	if !prof.HasMAV() {
 		fmt.Printf("\n(no MAV channel: profile recorded with MAVBits=0)\n")
 		return
@@ -129,16 +122,16 @@ func printMAVDiagnostics(prof *profile.Profile, table *phase.Table, ids []int, n
 	width := 1 << prof.MAVBits
 	sums := make([]bbv.Vector, table.NumPhases())
 	win := make(bbv.Vector, width)
-	for i := 0; i < n; i++ {
+	for i, id := range ids {
 		ok, err := prof.MAVWindowInto(win, uint64(i)*gran, gran)
 		check(err)
 		if !ok {
 			break
 		}
-		if sums[ids[i]] == nil {
-			sums[ids[i]] = make(bbv.Vector, width)
+		if sums[id] == nil {
+			sums[id] = make(bbv.Vector, width)
 		}
-		sums[ids[i]].Add(win)
+		sums[id].Add(win)
 	}
 
 	fmt.Printf("\nMAV channel (%d hashed lines; density counts loads+stores per op):\n", width)
@@ -197,27 +190,6 @@ func record(name string, ops uint64) *profile.Profile {
 		core.Hier.L2.Stats().MissRate()*100, core.BP.Stats().MispredictRate()*100,
 		m.WildAccesses)
 	return p
-}
-
-// withinPhaseSigma is the ops-weighted within-phase IPC standard deviation
-// in units of the benchmark σ.
-func withinPhaseSigma(table *phase.Table, ids []int, ipcs []float64, sigma float64) float64 {
-	acc := make([]stats.Running, table.NumPhases())
-	for i, id := range ids {
-		acc[id].Add(ipcs[i])
-	}
-	var weighted float64
-	var count uint64
-	for id := range acc {
-		if acc[id].N() >= 2 {
-			weighted += float64(acc[id].N()) * acc[id].StdDev()
-			count += acc[id].N()
-		}
-	}
-	if count == 0 || sigma == 0 {
-		return 0
-	}
-	return weighted / float64(count) / sigma
 }
 
 func check(err error) {

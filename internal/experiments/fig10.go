@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"pgss/internal/phase"
-	"pgss/internal/stats"
 )
 
 // Fig10 regenerates Figure 10: the effect of the BBV threshold on the
@@ -29,20 +28,9 @@ func Fig10(s *Suite) (*Report, error) {
 	r := NewReport("fig10", fmt.Sprintf("effect of threshold on phase characteristics of %s", bench))
 	r.Metrics["benchmark_sigma"] = sigma
 
-	ipcs, err := p.IPCSeries(gran)
+	ipcs, bbvs, err := p.FullWindowSeries(gran)
 	if err != nil {
 		return nil, err
-	}
-	bbvs, err := p.BBVSeries(gran)
-	if err != nil {
-		return nil, err
-	}
-	n := p.NumFullWindows(gran)
-	if len(ipcs) < n {
-		n = len(ipcs)
-	}
-	if len(bbvs) < n {
-		n = len(bbvs)
 	}
 
 	t := r.AddTable("phase characteristics vs threshold",
@@ -50,25 +38,8 @@ func Fig10(s *Suite) (*Report, error) {
 	// Paper x-axis: 0 .. π/2 radians, i.e. 0 .. 0.5 in fractions of π.
 	for th := 0.0; th <= 0.50001; th += 0.025 {
 		table := phase.MustNewTable(th * math.Pi)
-		ids := table.ClassifySeries(bbvs[:n], gran)
-
-		// Within-phase IPC spread over member intervals.
-		acc := make([]stats.Running, table.NumPhases())
-		for i := 0; i < n; i++ {
-			acc[ids[i]].Add(ipcs[i])
-		}
-		var weighted float64
-		var ops uint64
-		for id := range acc {
-			if acc[id].N() >= 2 {
-				weighted += float64(acc[id].N()) * acc[id].StdDev()
-				ops += acc[id].N()
-			}
-		}
-		varSigma := 0.0
-		if ops > 0 && sigma > 0 {
-			varSigma = weighted / float64(ops) / sigma
-		}
+		ids := table.ClassifySeries(bbvs, gran)
+		varSigma := table.WithinPhaseSigma(ids, ipcs, sigma)
 		t.AddRow(f3(th), fmt.Sprintf("%d", table.NumPhases()),
 			fmt.Sprintf("%d", table.Transitions),
 			eng(table.MeanRunLength()*float64(gran)), f3(varSigma))

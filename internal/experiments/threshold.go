@@ -19,20 +19,9 @@ type changePoint struct {
 // changeSeries computes the consecutive-sample changes of one benchmark at
 // granularity gran (the paper uses 100k-op samples for Figs 7–9).
 func changeSeries(p *profile.Profile, gran uint64) ([]changePoint, error) {
-	ipcs, err := p.IPCSeries(gran)
+	ipcs, bbvs, err := p.FullWindowSeries(gran)
 	if err != nil {
 		return nil, err
-	}
-	bbvs, err := p.BBVSeries(gran)
-	if err != nil {
-		return nil, err
-	}
-	n := p.NumFullWindows(gran) // exclude the trailing partial window
-	if len(ipcs) < n {
-		n = len(ipcs)
-	}
-	if len(bbvs) < n {
-		n = len(bbvs)
 	}
 	sigma, err := p.IntervalStdDev(gran)
 	if err != nil {
@@ -42,7 +31,7 @@ func changeSeries(p *profile.Profile, gran uint64) ([]changePoint, error) {
 		sigma = math.Inf(1) // flat benchmark: all IPC changes are 0σ
 	}
 	var out []changePoint
-	for i := 1; i < n; i++ {
+	for i := 1; i < len(ipcs); i++ {
 		out = append(out, changePoint{
 			BBVAngle: bbvs[i].Angle(bbvs[i-1]),
 			IPCSigma: math.Abs(ipcs[i]-ipcs[i-1]) / sigma,

@@ -250,6 +250,30 @@ func (t *Table) Summarize() Summary {
 	return s
 }
 
+// WithinPhaseSigma returns the within-phase standard deviation of xs, one
+// value per window classified as ids by ClassifySeries, averaged over
+// phases weighted by their windows and expressed in units of sigma: Fig
+// 10's within-phase IPC variation. Phases of fewer than two windows are
+// left out; with none left, or sigma not positive, it returns 0.
+func (t *Table) WithinPhaseSigma(ids []int, xs []float64, sigma float64) float64 {
+	acc := make([]stats.Running, t.NumPhases())
+	for i, id := range ids {
+		acc[id].Add(xs[i])
+	}
+	var weighted float64
+	var windows uint64
+	for id := range acc {
+		if acc[id].N() >= 2 {
+			weighted += float64(acc[id].N()) * acc[id].StdDev()
+			windows += acc[id].N()
+		}
+	}
+	if windows == 0 || sigma <= 0 {
+		return 0
+	}
+	return weighted / float64(windows) / sigma
+}
+
 // ClassifySeries drives a whole normalised-BBV series (each window covering
 // `windowOps` ops) through a fresh classification pass and returns the
 // phase ID of every window. It is the offline analysis path used by the

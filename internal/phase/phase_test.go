@@ -169,6 +169,29 @@ func TestClassifySeries(t *testing.T) {
 	}
 }
 
+// TestWithinPhaseSigma: phases weigh in by their windows, a one-window
+// phase is left out, and the result is in units of sigma.
+func TestWithinPhaseSigma(t *testing.T) {
+	tab := MustNewTable(0.05 * math.Pi)
+	ids := tab.ClassifySeries([]bbv.Vector{
+		oneHot(0), oneHot(0), oneHot(0), oneHot(5), oneHot(5), oneHot(9),
+	}, 100)
+	xs := []float64{1, 2, 3, 10, 14, 100} // σ 1 over 3 windows, √8 over 2, one alone
+	want := (3*1 + 2*math.Sqrt(8)) / 5 / 2
+	if got := tab.WithinPhaseSigma(ids, xs, 2); math.Abs(got-want) > 1e-12 {
+		t.Errorf("WithinPhaseSigma = %g, want %g", got, want)
+	}
+	if got := tab.WithinPhaseSigma(ids, xs, 0); got != 0 {
+		t.Errorf("zero sigma: got %g, want 0", got)
+	}
+	if got := tab.WithinPhaseSigma(ids[3:], xs[3:], 2); got == 0 {
+		t.Error("a two-window phase must count")
+	}
+	if got := tab.WithinPhaseSigma(ids[2:4], xs[2:4], 2); got != 0 {
+		t.Errorf("one-window phases only: got %g, want 0", got)
+	}
+}
+
 func TestSummarize(t *testing.T) {
 	tab := MustNewTable(0.05 * math.Pi)
 	tab.Classify(oneHot(0), 100, 0)

@@ -296,18 +296,7 @@ func (p *Profile) IPCSeries(gran uint64) ([]float64, error) {
 // BBVOps), clipped at the end of the program. A window past the end of the
 // program returns (nil, nil).
 func (p *Profile) BBVWindow(start, ops uint64) (bbv.Vector, error) {
-	var dst bbv.Vector
-	if len(p.RawBBVs) > 0 {
-		dst = make(bbv.Vector, len(p.RawBBVs[0]))
-	}
-	ok, err := p.BBVWindowInto(dst, start, ops)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, nil
-	}
-	return dst, nil
+	return p.window(p.RawBBVs, "BBV", start, ops)
 }
 
 // BBVWindowInto is BBVWindow into a caller-owned buffer of length
@@ -315,22 +304,37 @@ func (p *Profile) BBVWindow(start, ops uint64) (bbv.Vector, error) {
 // reports ok=false for a window past the end of the program (dst is then
 // unchanged). Safe for concurrent use with distinct buffers.
 func (p *Profile) BBVWindowInto(dst bbv.Vector, start, ops uint64) (bool, error) {
+	return p.windowInto(p.RawBBVs, "BBV", dst, start, ops)
+}
+
+// window is windowInto into a fresh vector; a window past the end of the
+// program returns (nil, nil).
+func (p *Profile) window(raw []bbv.Vector, channel string, start, ops uint64) (bbv.Vector, error) {
+	var dst bbv.Vector
+	if len(raw) > 0 {
+		dst = make(bbv.Vector, len(raw[0]))
+	}
+	if ok, err := p.windowInto(raw, channel, dst, start, ops); !ok {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// windowInto sums one channel's raw per-BBVOps vectors over a window into
+// dst (see BBVWindowInto).
+func (p *Profile) windowInto(raw []bbv.Vector, channel string, dst bbv.Vector, start, ops uint64) (bool, error) {
 	if start%p.BBVOps != 0 || ops%p.BBVOps != 0 {
 		return false, pgsserrors.Misalignedf(
-			"profile: BBV window start=%d ops=%d not multiples of BBV granularity %d", start, ops, p.BBVOps)
+			"profile: %s window start=%d ops=%d not multiples of BBV granularity %d", channel, start, ops, p.BBVOps)
 	}
 	j0 := int(start / p.BBVOps)
-	n := int(ops / p.BBVOps)
-	if j0 >= len(p.RawBBVs) {
+	if j0 >= len(raw) {
 		return false, nil
 	}
-	j1 := j0 + n
-	if j1 > len(p.RawBBVs) {
-		j1 = len(p.RawBBVs)
-	}
-	copy(dst, p.RawBBVs[j0])
+	j1 := min(j0+int(ops/p.BBVOps), len(raw))
+	copy(dst, raw[j0])
 	for j := j0 + 1; j < j1; j++ {
-		dst.Add(p.RawBBVs[j])
+		dst.Add(raw[j])
 	}
 	return true, nil
 }
@@ -368,43 +372,24 @@ func (p *Profile) HasMAV() bool { return len(p.RawMAVs) > 0 }
 // error.
 func (p *Profile) MAVWindowInto(dst bbv.Vector, start, ops uint64) (bool, error) {
 	if !p.HasMAV() {
-		return false, pgsserrors.Invalidf("profile %q: recorded without the MAV channel", p.Benchmark)
+		return false, p.errNoMAV()
 	}
-	if start%p.BBVOps != 0 || ops%p.BBVOps != 0 {
-		return false, pgsserrors.Misalignedf(
-			"profile: MAV window start=%d ops=%d not multiples of BBV granularity %d", start, ops, p.BBVOps)
-	}
-	j0 := int(start / p.BBVOps)
-	n := int(ops / p.BBVOps)
-	if j0 >= len(p.RawMAVs) {
-		return false, nil
-	}
-	j1 := j0 + n
-	if j1 > len(p.RawMAVs) {
-		j1 = len(p.RawMAVs)
-	}
-	copy(dst, p.RawMAVs[j0])
-	for j := j0 + 1; j < j1; j++ {
-		dst.Add(p.RawMAVs[j])
-	}
-	return true, nil
+	return p.windowInto(p.RawMAVs, "MAV", dst, start, ops)
 }
 
 // MAVWindow is MAVWindowInto into a fresh vector; a window past the end of
 // the program returns (nil, nil).
 func (p *Profile) MAVWindow(start, ops uint64) (bbv.Vector, error) {
 	if !p.HasMAV() {
-		return nil, pgsserrors.Invalidf("profile %q: recorded without the MAV channel", p.Benchmark)
+		return nil, p.errNoMAV()
 	}
-	dst := make(bbv.Vector, len(p.RawMAVs[0]))
-	ok, err := p.MAVWindowInto(dst, start, ops)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, nil
-	}
-	return dst, nil
+	return p.window(p.RawMAVs, "MAV", start, ops)
+}
+
+// errNoMAV is the error of a MAV read on a profile recorded without the
+// channel.
+func (p *Profile) errNoMAV() error {
+	return pgsserrors.Invalidf("profile %q: recorded without the MAV channel", p.Benchmark)
 }
 
 // SignatureWindow returns the normalised phase signature of the given
@@ -467,6 +452,23 @@ func (p *Profile) SignatureSeries(ch bbv.Channel, gran uint64) ([]bbv.Vector, er
 // avoid a tiny tail window skewing their moments.
 func (p *Profile) NumFullWindows(gran uint64) int {
 	return int(p.TotalOps / gran)
+}
+
+// FullWindowSeries returns the IPC and normalised BBV series at the given
+// granularity (a multiple of BBVOps), cut to the run's full windows: the
+// threshold analyses (Figs 7–10) compare equal-size intervals, so the
+// trailing partial window is dropped.
+func (p *Profile) FullWindowSeries(gran uint64) ([]float64, []bbv.Vector, error) {
+	ipcs, err := p.IPCSeries(gran)
+	if err != nil {
+		return nil, nil, err
+	}
+	bbvs, err := p.BBVSeries(gran)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := min(p.NumFullWindows(gran), len(ipcs), len(bbvs))
+	return ipcs[:n], bbvs[:n], nil
 }
 
 // IntervalStdDev returns the standard deviation of interval IPCs at the

@@ -6,10 +6,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"testing/quick"
-
-	"reflect"
 
 	"pgss/internal/bbv"
 	"pgss/internal/cpu"
@@ -229,6 +228,31 @@ func TestIPCSeriesLengths(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFullWindowSeries: both series stop at the last full window, and
+// agree with the uncut series before it.
+func TestFullWindowSeries(t *testing.T) {
+	prog := computeProgram(t, 20000)
+	p := record(t, prog, Config{FineOps: 1000, BBVOps: 2000})
+	const gran = 6000
+	ipcs, bbvs, err := p.FullWindowSeries(gran)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := p.NumFullWindows(gran)
+	if p.TotalOps%gran == 0 || len(ipcs) != n || len(bbvs) != n {
+		t.Fatalf("%d ops at %d: %d IPCs, %d BBVs, want %d full windows",
+			p.TotalOps, gran, len(ipcs), len(bbvs), n)
+	}
+	allIPCs, _ := p.IPCSeries(gran)
+	allBBVs, _ := p.BBVSeries(gran)
+	if !reflect.DeepEqual(ipcs, allIPCs[:n]) || !reflect.DeepEqual(bbvs, allBBVs[:n]) {
+		t.Error("cut series differ from the uncut ones")
+	}
+	if _, _, err := p.FullWindowSeries(3000); !errors.Is(err, pgsserrors.ErrMisalignedWindow) {
+		t.Errorf("granularity off the BBV grid: got %v, want ErrMisalignedWindow", err)
 	}
 }
 
