@@ -16,17 +16,17 @@ import (
 
 // technique is one entry of the technique table: a campaign name plus a
 // run that builds the technique's paper configuration at the suite's scale
-// and runs it on one profile. Seeded techniques (TurboSMARTS, SimPoint,
-// Stratified, 2PSS, RSS) take the seed; the others ignore it.
+// and runs it on one profile. Seeded techniques take the seed; the others
+// ignore it.
 type technique struct {
 	name string
 	run  func(ctx context.Context, s *Suite, p *profile.Profile, seed int64) (sampling.Result, error)
 }
 
-// techniques is the technique table, in report order. Campaigns,
+// techniqueTable is the technique table, in report order. Campaigns,
 // pgss-bench's technique list and the figures' paper-configuration rows
 // all read it.
-var techniques = []technique{
+var techniqueTable = []technique{
 	{"PGSS", func(ctx context.Context, s *Suite, p *profile.Profile, _ int64) (sampling.Result, error) {
 		res, _, err := core.RunContext(ctx, sampling.NewProfileTarget(p), core.DefaultConfig(s.Scale()))
 		return res, err
@@ -107,7 +107,7 @@ func runLive(ctx context.Context, s *Suite, p *profile.Profile, _ int64) (sampli
 
 // lookupTechnique returns the table entry of the named technique.
 func lookupTechnique(name string) (technique, bool) {
-	for _, t := range techniques {
+	for _, t := range techniqueTable {
 		if t.name == name {
 			return t, true
 		}
@@ -125,9 +125,8 @@ func (s *Suite) runTechnique(ctx context.Context, name string, p *profile.Profil
 	return t.run(ctx, s, p, seed)
 }
 
-// paperRun returns a run of the named technique at its paper
-// configuration and seed 1, the seed every default configuration uses:
-// the figures' rows for a technique as the paper configures it.
+// paperRun returns a figure row's run of the named technique: its paper
+// configuration at seed 1, the seed every default configuration uses.
 func (s *Suite) paperRun(name string) profileRun {
 	return func(p *profile.Profile) (sampling.Result, error) {
 		return s.runTechnique(s.ctx(), name, p, 1)
@@ -138,8 +137,8 @@ func (s *Suite) paperRun(name string) profileRun {
 // Seeded techniques (TurboSMARTS, SimPoint, Stratified, 2PSS, RSS) vary
 // with the spec seed; the deterministic ones ignore it.
 func CampaignTechniques() []string {
-	names := make([]string, len(techniques))
-	for i, t := range techniques {
+	names := make([]string, len(techniqueTable))
+	for i, t := range techniqueTable {
 		names[i] = t.name
 	}
 	return names
@@ -187,7 +186,7 @@ func ResolveTechniques(names []string) ([]string, error) {
 	}
 	for _, n := range names {
 		if n == "all" {
-			for _, t := range techniques {
+			for _, t := range techniqueTable {
 				add(t.name)
 			}
 			continue

@@ -145,9 +145,6 @@ func NewProfileTarget(p *profile.Profile) *ProfileTarget {
 	return &ProfileTarget{p: p}
 }
 
-// Profile returns the underlying profile.
-func (t *ProfileTarget) Profile() *profile.Profile { return t.p }
-
 // Benchmark implements Target.
 func (t *ProfileTarget) Benchmark() string { return t.p.Benchmark }
 
