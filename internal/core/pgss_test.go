@@ -260,6 +260,26 @@ func TestSweepGrid(t *testing.T) {
 	}
 }
 
+func TestBestPicksMinimumError(t *testing.T) {
+	p := suiteProfile(t, "188.ammp", 20_000_000)
+	var all []sampling.Result
+	best, err := sampling.BestOf(Sweep(10)[:6], func(cfg Config) (sampling.Result, error) {
+		r, _, err := RunContext(context.Background(), sampling.NewProfileTarget(p), cfg)
+		if err == nil {
+			all = append(all, r)
+		}
+		return r, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range all {
+		if r.ErrorPct() < best.ErrorPct() {
+			t.Error("BestOf did not pick the minimum")
+		}
+	}
+}
+
 func TestEstimateIsCPIWeighted(t *testing.T) {
 	// Construct a synthetic profile replay through a fake target with two
 	// phases of known CPI and check the combined estimate.

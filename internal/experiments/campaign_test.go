@@ -1,13 +1,8 @@
 package experiments
 
 import (
-	"errors"
-	"fmt"
 	"reflect"
 	"testing"
-
-	"pgss/internal/pgsserrors"
-	"pgss/internal/sampling"
 )
 
 func TestResolveTechniques(t *testing.T) {
@@ -45,35 +40,4 @@ func without(names []string, drop string) []string {
 		}
 	}
 	return out
-}
-
-// TestBestOf: the sweep helper keeps the lowest error, skips a failing
-// configuration and stops at a budget error. Each configuration here is
-// the estimate its run returns against a true IPC of 1; 0 fails and -1
-// exceeds the budget.
-func TestBestOf(t *testing.T) {
-	var ran []float64
-	run := func(est float64) (sampling.Result, error) {
-		ran = append(ran, est)
-		switch est {
-		case 0:
-			return sampling.Result{}, errors.New("interval longer than the program")
-		case -1:
-			return sampling.Result{}, fmt.Errorf("run: %w", pgsserrors.ErrBudgetExceeded)
-		}
-		return sampling.Result{Technique: "t", EstimatedIPC: est, TrueIPC: 1}, nil
-	}
-
-	best, err := bestOf([]float64{1.2, 0, 0.95, 1.1}, run)
-	if err != nil || best.EstimatedIPC != 0.95 || len(ran) != 4 {
-		t.Errorf("best = %v, %v after %v; want 0.95 after all four", best.EstimatedIPC, err, ran)
-	}
-	ran = nil
-	if _, err := bestOf([]float64{1.2, -1, 0.95}, run); !errors.Is(err, pgsserrors.ErrBudgetExceeded) ||
-		!reflect.DeepEqual(ran, []float64{1.2, -1}) {
-		t.Errorf("budget stop: got %v after %v", err, ran)
-	}
-	if _, err := bestOf([]float64{0}, run); !errors.Is(err, pgsserrors.ErrInfeasible) {
-		t.Errorf("all failed: got %v, want ErrInfeasible", err)
-	}
 }

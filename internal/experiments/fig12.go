@@ -1,40 +1,13 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"pgss/internal/core"
-	"pgss/internal/pgsserrors"
 	"pgss/internal/profile"
 	"pgss/internal/sampling"
 	"pgss/internal/stats"
 )
-
-// bestOf runs every configuration of a sweep and returns the lowest-error
-// result: the "best per benchmark" rows of Fig 12. A configuration that
-// fails (say, an interval longer than the program) is skipped, but an
-// ErrBudgetExceeded-classed error stops the sweep.
-func bestOf[C any](sweep []C, run func(C) (sampling.Result, error)) (sampling.Result, error) {
-	var best sampling.Result
-	found := false
-	for _, cfg := range sweep {
-		r, err := run(cfg)
-		if errors.Is(err, pgsserrors.ErrBudgetExceeded) {
-			return best, err
-		}
-		if err != nil {
-			continue
-		}
-		if !found || r.ErrorPct() < best.ErrorPct() {
-			best, found = r, true
-		}
-	}
-	if !found {
-		return best, pgsserrors.Infeasiblef("experiments: every configuration of the sweep failed")
-	}
-	return best, nil
-}
 
 // Fig12 regenerates Figure 12: sampling error and detailed-simulation
 // volume for every technique across the ten benchmarks. The paper's
@@ -51,19 +24,19 @@ func Fig12(s *Suite) (*Report, error) {
 		{"SMARTS", s.paperRun("SMARTS")},
 		{"TurboSMARTS", s.paperRun("TurboSMARTS")},
 		{"SimPoint(best)", func(p *profile.Profile) (sampling.Result, error) {
-			return bestOf(sampling.SimPointSweep(scale), func(cfg sampling.SimPointConfig) (sampling.Result, error) {
+			return sampling.BestOf(sampling.SimPointSweep(scale), func(cfg sampling.SimPointConfig) (sampling.Result, error) {
 				return sampling.SimPoint(p, cfg)
 			})
 		}},
 		{"SimPoint(10x100M)", s.paperRun("SimPoint")},
 		{"OnlineSP(best)", func(p *profile.Profile) (sampling.Result, error) {
-			return bestOf(sampling.OnlineSimPointSweep(scale), func(cfg sampling.OnlineSimPointConfig) (sampling.Result, error) {
+			return sampling.BestOf(sampling.OnlineSimPointSweep(scale), func(cfg sampling.OnlineSimPointConfig) (sampling.Result, error) {
 				return sampling.OnlineSimPoint(p, cfg)
 			})
 		}},
 		{"OnlineSP(100M/.1)", s.paperRun("OnlineSimPoint")},
 		{"PGSS(best)", func(p *profile.Profile) (sampling.Result, error) {
-			return bestOf(core.Sweep(scale), func(cfg core.Config) (sampling.Result, error) {
+			return sampling.BestOf(core.Sweep(scale), func(cfg core.Config) (sampling.Result, error) {
 				res, _, err := core.RunContext(s.ctx(), sampling.NewProfileTarget(p), cfg)
 				return res, err
 			})

@@ -14,6 +14,7 @@
 package sampling
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -76,6 +77,31 @@ func (r Result) String() string {
 	return fmt.Sprintf("%s[%s] %s: est=%.4f true=%.4f err=%.3f%% detailed=%d samples=%d",
 		r.Technique, r.Config, r.Benchmark, r.EstimatedIPC, r.TrueIPC,
 		r.ErrorPct(), r.Costs.DetailedTotal(), r.Samples)
+}
+
+// BestOf runs every configuration of a sweep and returns the lowest-error
+// result: the "best per benchmark" rows of Fig 12. A configuration that
+// fails (say, an interval longer than the program) is skipped, but an
+// ErrBudgetExceeded-classed error stops the sweep.
+func BestOf[C any](sweep []C, run func(C) (Result, error)) (Result, error) {
+	var best Result
+	found := false
+	for _, cfg := range sweep {
+		r, err := run(cfg)
+		if errors.Is(err, pgsserrors.ErrBudgetExceeded) {
+			return best, err
+		}
+		if err != nil {
+			continue
+		}
+		if !found || r.ErrorPct() < best.ErrorPct() {
+			best, found = r, true
+		}
+	}
+	if !found {
+		return best, pgsserrors.Infeasiblef("sampling: every configuration of the sweep failed")
+	}
+	return best, nil
 }
 
 // Window is what a sequential controller receives for each stretch of

@@ -3,7 +3,9 @@ package sampling
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"pgss/internal/bbv"
@@ -241,6 +243,61 @@ func TestSimPointSweepShape(t *testing.T) {
 	overall := SimPointOverall(10)
 	if overall.K != 10 || overall.IntervalOps != 10_000_000 {
 		t.Errorf("overall config: %+v", overall)
+	}
+}
+
+func TestSimPointBestPicksLowestError(t *testing.T) {
+	p := suiteProfile(t, "177.mesa", 2_000_000)
+	sweep := []SimPointConfig{
+		{IntervalOps: 100_000, K: 1, Seed: 1},
+		{IntervalOps: 100_000, K: 5, Seed: 1},
+	}
+	var all []Result
+	best, err := BestOf(sweep, func(cfg SimPointConfig) (Result, error) {
+		r, err := SimPoint(p, cfg)
+		if err == nil {
+			all = append(all, r)
+		}
+		return r, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range all {
+		if r.ErrorPct() < best.ErrorPct() {
+			t.Error("best is not the minimum")
+		}
+	}
+}
+
+// TestBestOf: the sweep helper keeps the lowest error, skips a failing
+// configuration and stops at a budget error. Each configuration here is
+// the estimate its run returns against a true IPC of 1; 0 fails and -1
+// exceeds the budget.
+func TestBestOf(t *testing.T) {
+	var ran []float64
+	run := func(est float64) (Result, error) {
+		ran = append(ran, est)
+		switch est {
+		case 0:
+			return Result{}, errors.New("interval longer than the program")
+		case -1:
+			return Result{}, fmt.Errorf("run: %w", pgsserrors.ErrBudgetExceeded)
+		}
+		return Result{Technique: "t", EstimatedIPC: est, TrueIPC: 1}, nil
+	}
+
+	best, err := BestOf([]float64{1.2, 0, 0.95, 1.1}, run)
+	if err != nil || best.EstimatedIPC != 0.95 || len(ran) != 4 {
+		t.Errorf("best = %v, %v after %v; want 0.95 after all four", best.EstimatedIPC, err, ran)
+	}
+	ran = nil
+	if _, err := BestOf([]float64{1.2, -1, 0.95}, run); !errors.Is(err, pgsserrors.ErrBudgetExceeded) ||
+		!reflect.DeepEqual(ran, []float64{1.2, -1}) {
+		t.Errorf("budget stop: got %v after %v", err, ran)
+	}
+	if _, err := BestOf([]float64{0}, run); !errors.Is(err, pgsserrors.ErrInfeasible) {
+		t.Errorf("all failed: got %v, want ErrInfeasible", err)
 	}
 }
 
