@@ -8,11 +8,11 @@ import (
 	"pgss/internal/workload"
 )
 
-// benchProgram builds one long benchmark program, shared across
+// benchProgram builds one 20M-op benchmark program, shared across
 // benchmarks (programs are immutable; every core gets its own machine).
-func benchProgram(b *testing.B) *program.Program {
+func benchProgram(b *testing.B, name string) *program.Program {
 	b.Helper()
-	spec, err := workload.Get("188.ammp")
+	spec, err := workload.Get(name)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func benchProgram(b *testing.B) *program.Program {
 
 func benchCore(b *testing.B, cfg cpu.CoreConfig) *cpu.Core {
 	b.Helper()
-	c, err := cpu.NewCore(cpu.MustNewMachine(benchProgram(b)), cfg)
+	c, err := cpu.NewCore(cpu.MustNewMachine(benchProgram(b, "188.ammp")), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -101,4 +101,30 @@ func BenchmarkCoreStepWarmBlock(b *testing.B) {
 // the superblock interpreter alone, no warming or timing.
 func BenchmarkCoreStepFFBlock(b *testing.B) {
 	blockLoop(b, (*cpu.Core).StepFFBlock)
+}
+
+var coreSink *cpu.Core
+
+// BenchmarkNewCore measures building a core over a built 20M-op program:
+// the machine's initial state plus the caches, predictor and timing model.
+// 181.mcf initialises most of its data segment and 168.wupwise leaves most
+// of its segment zero; every live shard and sample worker pays this once.
+func BenchmarkNewCore(b *testing.B) {
+	for _, name := range []string{"181.mcf", "168.wupwise"} {
+		prog := benchProgram(b, name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := cpu.NewMachine(prog)
+				if err != nil {
+					b.Fatal(err)
+				}
+				c, err := cpu.NewCore(m, cpu.DefaultCoreConfig())
+				if err != nil {
+					b.Fatal(err)
+				}
+				coreSink = c
+			}
+		})
+	}
 }
