@@ -170,7 +170,7 @@ func record(name string, ops uint64) *profile.Profile {
 	prog, err := spec.Build(ops)
 	check(err)
 	fmt.Printf("built %s: %d instructions, %d data words (%.1f MB) in %v\n",
-		prog.Name, len(prog.Code), prog.DataWords, float64(prog.DataWords)*8/1e6,
+		prog.Name, len(prog.Code), len(prog.Data), float64(len(prog.Data))*8/1e6,
 		time.Since(start).Round(time.Millisecond))
 
 	m, err := cpu.NewMachine(prog)

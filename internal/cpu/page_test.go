@@ -37,7 +37,7 @@ func pageChurnProgram(t *testing.T) *program.Program {
 
 // words returns a copy of m's data image.
 func words(m *Machine) []int64 {
-	out := make([]int64, m.Program().DataWords)
+	out := make([]int64, len(m.Program().Data))
 	for w := range out {
 		out[w] = m.DataWord(w)
 	}

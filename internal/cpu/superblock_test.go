@@ -247,29 +247,6 @@ func TestStepBlockResume(t *testing.T) {
 	}
 }
 
-// TestImageCacheBounded drives more distinct programs through imageOf than
-// the cache holds and checks the cache never exceeds its cap (machines pin
-// their own image, so eviction is invisible to correctness).
-func TestImageCacheBounded(t *testing.T) {
-	for i := 0; i < imageCacheCap+20; i++ {
-		p := build(t, func(b *program.Builder) {
-			b.OpI(isa.ADDI, isa.T0, isa.Zero, int64(i))
-			b.Halt()
-		})
-		m := MustNewMachine(p)
-		var buf [4]Retired
-		if n := m.StepBlock(buf[:]); n != 2 {
-			t.Fatalf("retired %d, want 2", n)
-		}
-	}
-	imageMu.Lock()
-	size, fifo := len(imageCache), len(imageFIFO)
-	imageMu.Unlock()
-	if size > imageCacheCap || fifo != size {
-		t.Fatalf("cache size %d (fifo %d), cap %d", size, fifo, imageCacheCap)
-	}
-}
-
 // TestCoreStepBlockModes spot-checks the three Core batch modes against
 // their per-op counterparts: identical retire streams, cycle counts and
 // microarchitectural snapshots.

@@ -9,6 +9,7 @@ import (
 	"pgss/internal/cpu"
 	"pgss/internal/pgsserrors"
 	"pgss/internal/profile"
+	"pgss/internal/program"
 )
 
 // Window is one precomputed fast-forward window.
@@ -117,18 +118,19 @@ func (s profileSampler) Sample(pos, warm, sample uint64) (float64, error) {
 }
 
 // LiveSource drives cycle-level simulators through a checkpoint library:
-// every shard and every sample worker owns an independent core, restored
-// from the nearest checkpoint. Shards only need the retire stream, so they
-// seek and step architecture-only (cpu.FastForward) and never touch the
-// caches or predictors they will throw away; every detailed sample instead
-// restores a warmed checkpoint and warm-forwards to its position, which
-// takes no steps when the library's stride divides the FF period (the
-// suite's libraries checkpoint every period) and the position is at or
-// below its last checkpoint. Restoring is bit-identical to continuous
-// simulation, and window BBVs drop the tracker's pending ops at every
-// boundary, so the windows — and therefore the whole run — are invariant
-// to the shard layout: the engine returns identical results for any
-// Shards/SampleWorkers setting.
+// every shard and every sample worker builds its own core over the
+// source's program (a copy of its data image and fresh caches and
+// predictors) and restores it from the nearest checkpoint. Shards only
+// need the retire stream, so they seek and step architecture-only
+// (cpu.FastForward) and never touch the caches or predictors they will
+// throw away; every detailed sample instead restores a warmed checkpoint
+// and warm-forwards to its position, which takes no steps when the
+// library's stride divides the FF period (the suite's libraries checkpoint
+// every period) and the position is at or below its last checkpoint.
+// Restoring is bit-identical to continuous simulation, and window BBVs
+// drop the tracker's pending ops at every boundary, so the windows — and
+// therefore the whole run — are invariant to the shard layout: the engine
+// returns identical results for any Shards/SampleWorkers setting.
 //
 // Live semantics differ in one documented respect from the serial
 // sampling.LiveTarget: the serial target carries pending (post-last-branch)
@@ -139,8 +141,8 @@ type LiveSource struct {
 	lib     *checkpoint.Library
 	hash    *bbv.Hash
 	mavHash *bbv.Hash // nil = MAV channel off
-	newCore func() (*cpu.Core, error)
-	name    string
+	prog    *program.Program
+	cc      cpu.CoreConfig
 	total   uint64
 	trueIPC float64
 }
@@ -151,33 +153,42 @@ type LiveSource struct {
 // construction.
 func (s *LiveSource) EnableMAV(h *bbv.Hash) { s.mavHash = h }
 
-// NewLiveSource builds a live source over a recorded checkpoint library.
-// newCore must build a fresh core of the same program and configuration the
-// library was recorded with; totalOps is the recorded program length and
-// trueIPC the reference IPC (0 when unknown).
-func NewLiveSource(lib *checkpoint.Library, hash *bbv.Hash, newCore func() (*cpu.Core, error), totalOps uint64, trueIPC float64) (*LiveSource, error) {
+// NewLiveSource builds a live source over a checkpoint library recorded
+// from prog on the processor cc; every shard and sample worker runs its own
+// core of that program and configuration. totalOps is the recorded program
+// length and trueIPC the reference IPC (0 when unknown). A malformed
+// program is rejected here, before any shard starts.
+func NewLiveSource(lib *checkpoint.Library, hash *bbv.Hash, prog *program.Program, cc cpu.CoreConfig, totalOps uint64, trueIPC float64) (*LiveSource, error) {
 	if lib == nil || lib.Len() == 0 {
 		return nil, pgsserrors.Invalidf("parallel: empty checkpoint library")
 	}
 	if totalOps == 0 {
 		return nil, pgsserrors.Invalidf("parallel: zero totalOps for live source")
 	}
-	probe, err := newCore()
-	if err != nil {
-		return nil, fmt.Errorf("parallel: core factory: %w", err)
+	if err := prog.Validate(); err != nil {
+		return nil, fmt.Errorf("parallel: live source: %w", err)
 	}
 	return &LiveSource{
 		lib:     lib,
 		hash:    hash,
-		newCore: newCore,
-		name:    probe.M.Program().Name,
+		prog:    prog,
+		cc:      cc,
 		total:   totalOps,
 		trueIPC: trueIPC,
 	}, nil
 }
 
+// newCore builds a fresh core running the source's program.
+func (s *LiveSource) newCore() (*cpu.Core, error) {
+	m, err := cpu.NewMachine(s.prog)
+	if err != nil {
+		return nil, err
+	}
+	return cpu.NewCore(m, s.cc)
+}
+
 // Benchmark implements Source.
-func (s *LiveSource) Benchmark() string { return s.name }
+func (s *LiveSource) Benchmark() string { return s.prog.Name }
 
 // TotalOps implements Source.
 func (s *LiveSource) TotalOps() uint64 { return s.total }
@@ -193,7 +204,7 @@ func (s *LiveSource) TrueIPC() float64 { return s.trueIPC }
 func (s *LiveSource) Windows(ctx context.Context, ffOps uint64, first int, out []Window) error {
 	c, err := s.newCore()
 	if err != nil {
-		return fmt.Errorf("parallel: core factory: %w", err)
+		return fmt.Errorf("parallel: shard core: %w", err)
 	}
 	start := uint64(first) * ffOps
 	if _, err := s.lib.Seek(c, start, cpu.FastForward); err != nil {
@@ -212,12 +223,12 @@ func (s *LiveSource) Windows(ctx context.Context, ffOps uint64, first int, out [
 		want := min(ffOps, s.total-pos)
 		done := c.Run(want, cpu.FastForward, tracker, mavt)
 		if err := c.M.Err(); err != nil {
-			return fmt.Errorf("parallel: %s halted abnormally in window %d: %w", s.name, first+i, err)
+			return fmt.Errorf("parallel: %s halted abnormally in window %d: %w", s.prog.Name, first+i, err)
 		}
 		if done < want {
 			return pgsserrors.Invalidf(
 				"parallel: %s ended at %d ops inside window %d, library declares %d",
-				s.name, pos+done, first+i, s.total)
+				s.prog.Name, pos+done, first+i, s.total)
 		}
 		out[i].Ops = done
 		out[i].BBV = tracker.TakeVector()
@@ -237,7 +248,7 @@ func (s *LiveSource) Windows(ctx context.Context, ffOps uint64, first int, out [
 func (s *LiveSource) NewSampler() (Sampler, error) {
 	c, err := s.newCore()
 	if err != nil {
-		return nil, fmt.Errorf("parallel: core factory: %w", err)
+		return nil, fmt.Errorf("parallel: sampler core: %w", err)
 	}
 	return &liveSampler{lib: s.lib, core: c}, nil
 }

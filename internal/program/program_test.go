@@ -1,6 +1,7 @@
 package program
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -121,11 +122,6 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 	if err := p.Validate(); err == nil {
 		t.Error("wild jump target accepted")
 	}
-	// Init word outside the data segment.
-	p = &Program{Name: "e", Code: []isa.Inst{{Op: isa.HALT}}, DataWords: 1, Init: map[int]int64{5: 1}}
-	if err := p.Validate(); err == nil {
-		t.Error("out-of-segment init accepted")
-	}
 }
 
 func TestDataAllocation(t *testing.T) {
@@ -136,17 +132,15 @@ func TestDataAllocation(t *testing.T) {
 		t.Errorf("alloc layout: %d %d", w0, w1)
 	}
 	b.InitData(5, 42)
-	b.InitData(1, 0) // zero values are elided
+	b.InitData(1, 7)
+	b.InitData(1, 0) // the last write wins, zero included
 	b.Halt()
 	p, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.DataWords != 6 || p.Init[5] != 42 {
-		t.Errorf("data image wrong: %d words, init %v", p.DataWords, p.Init)
-	}
-	if _, present := p.Init[1]; present {
-		t.Error("zero init value stored")
+	if want := []int64{0, 0, 0, 0, 0, 42}; !slices.Equal(p.Data, want) {
+		t.Errorf("data image %v, want %v", p.Data, want)
 	}
 }
 

@@ -168,7 +168,7 @@ func restoredStateDigest(t *testing.T, lib *checkpoint.Library, prog *program.Pr
 					return err
 				}
 			}
-			for i := 0; i < prog.DataWords; i++ {
+			for i := range prog.Data {
 				if err := put(uint64(c.M.DataWord(i))); err != nil {
 					return err
 				}
@@ -274,13 +274,7 @@ func engineDigests(t *testing.T, name string) map[string]string {
 	res, st, err = core.RunContext(ctx, live, both)
 	check("live/mav", digestOf(res, st), err)
 
-	src, err := parallel.NewLiveSource(lib, hash, func() (*cpu.Core, error) {
-		m, err := cpu.NewMachine(prog)
-		if err != nil {
-			return nil, err
-		}
-		return cpu.NewCore(m, cpu.DefaultCoreConfig())
-	}, p.TotalOps, p.TrueIPC())
+	src, err := parallel.NewLiveSource(lib, hash, prog, cpu.DefaultCoreConfig(), p.TotalOps, p.TrueIPC())
 	if err != nil {
 		t.Fatal(err)
 	}

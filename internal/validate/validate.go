@@ -244,8 +244,7 @@ func checkTechnique(cr *CaseResult, p *profile.Profile, cs *Case) {
 // verifies the live engine's shard-layout invariance: the single-shard live
 // run is the reference for every other layout.
 func checkLive(ctx context.Context, cr *CaseResult, prog *program.Program, p *profile.Profile, hash *bbv.Hash, cfg core.Config, layouts []parallel.Options) error {
-	newCore := func() (*cpu.Core, error) { return buildCore(prog) }
-	rec, err := newCore()
+	rec, err := buildCore(prog)
 	if err != nil {
 		return err
 	}
@@ -259,7 +258,7 @@ func checkLive(ctx context.Context, cr *CaseResult, prog *program.Program, p *pr
 		cr.violate("live-length", "checkpoint pass retired %d ops, oracle pass %d — the program is not deterministic", got, p.TotalOps)
 		return nil
 	}
-	src, err := parallel.NewLiveSource(lib, hash, newCore, p.TotalOps, p.TrueIPC())
+	src, err := parallel.NewLiveSource(lib, hash, prog, cpu.DefaultCoreConfig(), p.TotalOps, p.TrueIPC())
 	if err != nil {
 		return err
 	}

@@ -39,7 +39,7 @@ func TestGenCaseDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(pa.Code, pb.Code) || !reflect.DeepEqual(pa.Init, pb.Init) {
+	if !reflect.DeepEqual(pa.Code, pb.Code) || !reflect.DeepEqual(pa.Data, pb.Data) {
 		t.Fatal("built programs diverged for the same seed")
 	}
 	if c := GenCase(43); c.Config == a.Config && c.TotalOps == a.TotalOps {

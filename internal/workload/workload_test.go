@@ -70,7 +70,7 @@ func TestBuildDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p1.Code) != len(p2.Code) || p1.DataWords != p2.DataWords {
+	if len(p1.Code) != len(p2.Code) || len(p1.Data) != len(p2.Data) {
 		t.Fatal("builds differ structurally")
 	}
 	for i := range p1.Code {

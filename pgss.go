@@ -230,9 +230,7 @@ func NewSource(p *Profile) Source { return parallel.NewProfileSource(p) }
 // when unknown. Like NewLiveTarget, the source tracks both signature
 // channels.
 func NewLiveSource(lib *CheckpointLibrary, prog *Program, cc CoreConfig, totalOps uint64, trueIPC float64) (Source, error) {
-	src, err := parallel.NewLiveSource(lib, defaultHash(), func() (*cpu.Core, error) {
-		return newCore(prog, cc)
-	}, totalOps, trueIPC)
+	src, err := parallel.NewLiveSource(lib, defaultHash(), prog, cc, totalOps, trueIPC)
 	if err != nil {
 		return nil, err
 	}
