@@ -9,7 +9,11 @@
 // semantics, and the workload generator only needs deterministic values.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+
+	"pgss/internal/pgsserrors"
+)
 
 // Reg names one of the 32 general-purpose registers. R0 always reads zero;
 // writes to it are discarded.
@@ -274,16 +278,17 @@ func (in Inst) String() string {
 // addresses advance by this amount. It feeds the I-cache and the BBV hash.
 const InstBytes = 4
 
-// Validate reports a descriptive error if the instruction is malformed.
+// Validate reports a descriptive error if the instruction is malformed. The
+// error wraps pgsserrors.ErrInvalidConfig.
 func (in Inst) Validate() error {
 	if !in.Op.Valid() {
-		return fmt.Errorf("isa: invalid opcode %d", uint8(in.Op))
+		return pgsserrors.Invalidf("isa: invalid opcode %d", uint8(in.Op))
 	}
 	if !in.Dst.Valid() || !in.Src1.Valid() || !in.Src2.Valid() {
-		return fmt.Errorf("isa: invalid register in %v", in)
+		return pgsserrors.Invalidf("isa: invalid register in %v", in)
 	}
 	if in.Op.IsControl() && in.Op != JR && in.Imm < 0 {
-		return fmt.Errorf("isa: negative control target in %v", in)
+		return pgsserrors.Invalidf("isa: negative control target in %v", in)
 	}
 	return nil
 }

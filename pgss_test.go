@@ -2,11 +2,13 @@ package pgss_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
 
 	"pgss"
+	"pgss/internal/isa"
 )
 
 func record(t testing.TB, name string, ops uint64) *pgss.Profile {
@@ -292,5 +294,35 @@ func TestCheckpointsThroughFacade(t *testing.T) {
 	}
 	if ipc <= 0 {
 		t.Error("no sample IPC")
+	}
+}
+
+// TestMalformedProgramsClassified: a hand-built program that fails
+// validation is an invalid-config error at the facade entries that take
+// one.
+func TestMalformedProgramsClassified(t *testing.T) {
+	ctx := context.Background()
+	cc := pgss.DefaultCoreConfig()
+	empty := &pgss.Program{Name: "empty"}
+	wild := &pgss.Program{Name: "wild", Code: []isa.Inst{{Op: isa.JMP, Imm: 99}}}
+	for _, prog := range []*pgss.Program{empty, wild} {
+		if _, err := pgss.RecordProgram(ctx, prog, cc); !errors.Is(err, pgss.ErrInvalidConfig) {
+			t.Errorf("RecordProgram(%s): got %v, want ErrInvalidConfig", prog.Name, err)
+		}
+	}
+	spec, err := pgss.Benchmark("164.gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := spec.Build(200_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := pgss.RecordCheckpoints(prog, cc, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pgss.NewLiveSource(lib, empty, cc, 200_000, 0); !errors.Is(err, pgss.ErrInvalidConfig) {
+		t.Errorf("NewLiveSource(empty): got %v, want ErrInvalidConfig", err)
 	}
 }
