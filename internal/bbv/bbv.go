@@ -203,22 +203,71 @@ func (h *Hash) Index(addr uint64) int {
 	return idx
 }
 
+// counters is the register file both signature trackers accumulate into:
+// one counter per hash bucket, read out and cleared once per sampling
+// period.
+type counters struct {
+	hash *Hash
+	regs []float64
+}
+
+func newCounters(h *Hash) counters {
+	return counters{hash: h, regs: make([]float64, h.Buckets())}
+}
+
+// Hash returns the tracker's hash.
+func (c *counters) Hash() *Hash { return c.hash }
+
+// TakeRaw compiles the registers into an unnormalised Vector (component i
+// holds the count charged to register i this period) and clears them for
+// the next sampling period. Raw vectors are additive: the sum of the raw
+// vectors of consecutive periods equals the raw vector of the combined
+// period, which is what profile aggregation relies on.
+func (c *counters) TakeRaw() Vector {
+	v := make(Vector, len(c.regs))
+	copy(v, c.regs)
+	clear(c.regs)
+	return v
+}
+
+// AppendRaw is TakeRaw appending into a caller-owned arena: the registers
+// are appended to dst and cleared, and the grown slice is returned. The
+// recording path in package profile lays every period's raw vector out in
+// one contiguous backing array (one allocation per recording instead of one
+// per period, and the layout the binary profile codec writes out directly).
+func (c *counters) AppendRaw(dst []float64) []float64 {
+	dst = append(dst, c.regs...)
+	clear(c.regs)
+	return dst
+}
+
+// TakeVector compiles the registers into a normalised Vector and clears
+// them for the next sampling period.
+func (c *counters) TakeVector() Vector {
+	return c.TakeVectorInto(make(Vector, len(c.regs)))
+}
+
+// TakeVectorInto is TakeVector into a caller-owned buffer of length
+// Buckets, avoiding the per-period allocation on hot replay and
+// fast-forward loops. It returns dst normalised.
+func (c *counters) TakeVectorInto(dst Vector) Vector {
+	copy(dst, c.regs)
+	clear(c.regs)
+	return dst.Normalize()
+}
+
 // Tracker is the accumulating register file. It is driven from the retire
 // stream: call RetireOps for every retired instruction batch and
-// TakenBranch at every taken branch.
+// TakenBranch at every taken branch. Reading the registers out leaves the
+// pending ops alone: they belong to the basic block that will complete
+// (with its taken branch) in the next period.
 type Tracker struct {
-	hash    *Hash
-	regs    []float64
+	counters
 	pending float64 // ops retired since the last taken branch
 }
 
 // NewTracker builds a tracker over the given hash.
-func NewTracker(h *Hash) *Tracker {
-	return &Tracker{hash: h, regs: make([]float64, h.Buckets())}
-}
-
-// Hash returns the tracker's hash.
-func (t *Tracker) Hash() *Hash { return t.hash }
+func NewTracker(h *Hash) *Tracker { return &Tracker{counters: newCounters(h)} }
 
 // RetireOps notes n retired operations since the last event.
 func (t *Tracker) RetireOps(n uint64) { t.pending += float64(n) }
@@ -230,55 +279,6 @@ func (t *Tracker) TakenBranch(addr uint64) {
 	t.pending = 0
 }
 
-// TakeRaw compiles the registers into an unnormalised Vector (component i
-// holds the op count charged to register i this period) and clears them for
-// the next sampling period. Raw vectors are additive: the sum of the raw
-// vectors of consecutive periods equals the raw vector of the combined
-// period, which is what profile aggregation relies on.
-func (t *Tracker) TakeRaw() Vector {
-	v := make(Vector, len(t.regs))
-	copy(v, t.regs)
-	for i := range t.regs {
-		t.regs[i] = 0
-	}
-	// Residual ops stay pending: they belong to the basic block that will
-	// complete (with its taken branch) in the next period.
-	return v
-}
-
-// AppendRaw is TakeRaw appending into a caller-owned arena: the registers
-// are appended to dst and cleared, and the grown slice is returned. The
-// recording path in package profile lays every period's raw vector out in
-// one contiguous backing array (one allocation per recording instead of one
-// per period, and the layout the binary profile codec writes out directly).
-func (t *Tracker) AppendRaw(dst []float64) []float64 {
-	dst = append(dst, t.regs...)
-	for i := range t.regs {
-		t.regs[i] = 0
-	}
-	// Residual ops stay pending, as in TakeRaw.
-	return dst
-}
-
-// TakeVector compiles the registers into a normalised Vector and clears
-// them for the next sampling period.
-func (t *Tracker) TakeVector() Vector {
-	return t.TakeVectorInto(make(Vector, len(t.regs)))
-}
-
-// TakeVectorInto is TakeVector into a caller-owned buffer of length
-// Buckets, avoiding the per-period allocation on hot replay and
-// fast-forward loops. It returns dst normalised.
-func (t *Tracker) TakeVectorInto(dst Vector) Vector {
-	copy(dst, t.regs)
-	for i := range t.regs {
-		t.regs[i] = 0
-	}
-	// Residual ops stay pending: they belong to the basic block that will
-	// complete (with its taken branch) in the next period.
-	return dst.Normalize()
-}
-
 // DropPending discards the ops retired since the last taken branch. The
 // parallel engine calls it at every window boundary so a window's vector
 // depends only on the window's own retire stream — making the vectors
@@ -287,8 +287,6 @@ func (t *Tracker) DropPending() { t.pending = 0 }
 
 // Reset clears all accumulated state.
 func (t *Tracker) Reset() {
-	for i := range t.regs {
-		t.regs[i] = 0
-	}
+	clear(t.regs)
 	t.pending = 0
 }

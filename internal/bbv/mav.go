@@ -39,65 +39,18 @@ func MustNewMAVHash(width int, seed int64) *Hash {
 
 // MAVTracker is the access-counting counter file. It is driven from the
 // retire stream: call Access with the data address of every retired load
-// and store.
+// and store. With no pending state, raw MAVs of consecutive periods always
+// sum to the raw MAV of the combined period.
 type MAVTracker struct {
-	hash *Hash
-	regs []float64
+	counters
 }
 
 // NewMAVTracker builds a tracker over the given hash (normally from
 // NewMAVHash, so the index ignores intra-line offset bits).
-func NewMAVTracker(h *Hash) *MAVTracker {
-	return &MAVTracker{hash: h, regs: make([]float64, h.Buckets())}
-}
-
-// Hash returns the tracker's hash.
-func (t *MAVTracker) Hash() *Hash { return t.hash }
+func NewMAVTracker(h *Hash) *MAVTracker { return &MAVTracker{newCounters(h)} }
 
 // Access charges one memory access at the given data address.
 func (t *MAVTracker) Access(addr uint64) { t.regs[t.hash.Index(addr)]++ }
 
-// TakeRaw compiles the counters into an unnormalised Vector and clears them
-// for the next sampling period. With no pending state, raw MAVs of
-// consecutive periods always sum to the raw MAV of the combined period.
-func (t *MAVTracker) TakeRaw() Vector {
-	v := make(Vector, len(t.regs))
-	copy(v, t.regs)
-	for i := range t.regs {
-		t.regs[i] = 0
-	}
-	return v
-}
-
-// AppendRaw is TakeRaw appending into a caller-owned arena (see
-// Tracker.AppendRaw): the counters are appended to dst and cleared, and the
-// grown slice is returned.
-func (t *MAVTracker) AppendRaw(dst []float64) []float64 {
-	dst = append(dst, t.regs...)
-	for i := range t.regs {
-		t.regs[i] = 0
-	}
-	return dst
-}
-
-// TakeVector compiles the counters into a normalised Vector and clears them.
-func (t *MAVTracker) TakeVector() Vector {
-	return t.TakeVectorInto(make(Vector, len(t.regs)))
-}
-
-// TakeVectorInto is TakeVector into a caller-owned buffer of length
-// Buckets. It returns dst normalised.
-func (t *MAVTracker) TakeVectorInto(dst Vector) Vector {
-	copy(dst, t.regs)
-	for i := range t.regs {
-		t.regs[i] = 0
-	}
-	return dst.Normalize()
-}
-
 // Reset clears all accumulated counts.
-func (t *MAVTracker) Reset() {
-	for i := range t.regs {
-		t.regs[i] = 0
-	}
-}
+func (t *MAVTracker) Reset() { clear(t.regs) }
