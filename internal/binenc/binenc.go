@@ -27,6 +27,7 @@ import (
 	"io"
 	"unsafe"
 
+	"pgss/internal/faultinject"
 	"pgss/internal/pgsserrors"
 )
 
@@ -235,4 +236,20 @@ func Words[T Word](payload []byte) ([]T, error) {
 		}
 	}
 	return out, nil
+}
+
+// ReadFile loads an artifact file. On the real filesystem the file is
+// mmapped (see MapFile: O(1) start-up for large arenas); injected
+// filesystems read through the FS seam, so fault schedules observe every
+// read and stay deterministic.
+func ReadFile(fsys faultinject.FS, path string) ([]byte, error) {
+	if faultinject.IsOS(fsys) {
+		return MapFile(path)
+	}
+	f, err := faultinject.Open(fsys, path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return io.ReadAll(f)
 }

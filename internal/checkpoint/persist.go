@@ -132,7 +132,7 @@ func (l *Library) Save(fsys faultinject.FS, path string) error {
 // delete the file and re-record; a missing file keeps its os error (check
 // with os.IsNotExist).
 func Load(fsys faultinject.FS, path string) (*Library, error) {
-	data, err := readLibraryBytes(fsys, path)
+	data, err := binenc.ReadFile(fsys, path)
 	if err != nil {
 		return nil, err
 	}
@@ -144,21 +144,6 @@ func Load(fsys faultinject.FS, path string) (*Library, error) {
 		return nil, fmt.Errorf("checkpoint: %s: %w", path, err)
 	}
 	return lib, nil
-}
-
-// readLibraryBytes loads the raw library file — mmapped on the real
-// filesystem, through the FS seam otherwise (injected filesystems must
-// observe every read for fault schedules to stay deterministic).
-func readLibraryBytes(fsys faultinject.FS, path string) ([]byte, error) {
-	if faultinject.IsOS(fsys) {
-		return binenc.MapFile(path)
-	}
-	f, err := faultinject.Open(fsys, path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return io.ReadAll(f)
 }
 
 func decodeBinaryLibrary(data []byte) (*Library, error) {

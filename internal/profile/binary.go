@@ -6,7 +6,6 @@ import (
 
 	"pgss/internal/bbv"
 	"pgss/internal/binenc"
-	"pgss/internal/faultinject"
 	"pgss/internal/pgsserrors"
 )
 
@@ -186,20 +185,4 @@ func decodeBinary(data []byte) (*Profile, error) {
 		}
 	}
 	return &p, nil
-}
-
-// readProfileBytes loads the raw profile file. On the real filesystem the
-// file is mmapped (private mapping, O(1) start-up for the large arenas);
-// injected filesystems read through the FS seam so fault schedules observe
-// the access.
-func readProfileBytes(fsys faultinject.FS, path string) ([]byte, error) {
-	if faultinject.IsOS(fsys) {
-		return binenc.MapFile(path)
-	}
-	f, err := faultinject.Open(fsys, path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return io.ReadAll(f)
 }

@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"pgss/internal/bbv"
+	"pgss/internal/binenc"
 	"pgss/internal/cpu"
 	"pgss/internal/faultinject"
 	"pgss/internal/pgsserrors"
@@ -564,7 +565,7 @@ func (p *Profile) SaveFS(fsys faultinject.FS, path string) error {
 // ErrCacheCorrupt so callers can delete the file and re-record; a missing
 // file keeps its os error (check with os.IsNotExist).
 func LoadFS(fsys faultinject.FS, path string) (*Profile, error) {
-	data, err := readProfileBytes(fsys, path)
+	data, err := binenc.ReadFile(fsys, path)
 	if err != nil {
 		return nil, err
 	}
