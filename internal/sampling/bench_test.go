@@ -81,3 +81,34 @@ func BenchmarkLiveTargetNextWindow(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIntervalTechniques measures one replay run of each technique at
+// its scale-10 default (SimPoint at 100k-op intervals with k=5, online
+// SimPoint at 100k-op intervals and .10π), seed 1, on the BBV channel.
+func BenchmarkIntervalTechniques(b *testing.B) {
+	p := benchProfile(10_000_000)
+	runs := []struct {
+		name string
+		run  func() (Result, error)
+	}{
+		{"SMARTS", func() (Result, error) { return SMARTS(NewProfileTarget(p), DefaultSMARTSConfig(10)) }},
+		{"TurboSMARTS", func() (Result, error) { return TurboSMARTS(p, DefaultTurboSMARTSConfig(10)) }},
+		{"Stratified", func() (Result, error) { return Stratified(p, DefaultStratifiedConfig(10)) }},
+		{"2PSS", func() (Result, error) { return TwoPhase(p, DefaultTwoPhaseConfig(10)) }},
+		{"RSS", func() (Result, error) { return RankedSet(p, DefaultRankedSetConfig(10)) }},
+		{"SimPoint", func() (Result, error) { return SimPoint(p, SimPointSweep(10)[0]) }},
+		{"OnlineSimPoint", func() (Result, error) {
+			return OnlineSimPoint(p, OnlineSimPointConfig{IntervalOps: 100_000, ThresholdPi: 0.10})
+		}},
+	}
+	for _, r := range runs {
+		b.Run(r.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
