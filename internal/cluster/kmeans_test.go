@@ -150,17 +150,3 @@ func TestIdenticalPoints(t *testing.T) {
 		t.Errorf("identical points inertia = %g", res.Inertia)
 	}
 }
-
-func TestBIC(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	points := append(blob(rng, 0, 40), blob(rng, 9, 40)...)
-	r1, _ := KMeans(points, Config{K: 1, Seed: 1})
-	r2, _ := KMeans(points, Config{K: 2, Seed: 1, Restarts: 3})
-	if BIC(points, r2) <= BIC(points, r1) {
-		t.Errorf("BIC did not prefer the true k: k1=%g k2=%g",
-			BIC(points, r1), BIC(points, r2))
-	}
-	if !math.IsInf(BIC(nil, r1), -1) {
-		t.Error("BIC of no points should be -Inf")
-	}
-}

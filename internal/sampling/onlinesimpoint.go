@@ -3,6 +3,7 @@ package sampling
 import (
 	"fmt"
 
+	"pgss/internal/bbv"
 	"pgss/internal/pgsserrors"
 	"pgss/internal/phase"
 	"pgss/internal/profile"
@@ -60,71 +61,30 @@ func OnlineSimPointOverall(scale uint64) OnlineSimPointConfig {
 
 // OnlineSimPoint runs the baseline against a recorded profile.
 func OnlineSimPoint(p *profile.Profile, cfg OnlineSimPointConfig) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	iv, err := newIntervals(p, "OnlineSimPoint", cfg, cfg.IntervalOps, bbv.ChannelBBV)
+	if err != nil {
 		return Result{}, err
-	}
-	if cfg.IntervalOps%p.BBVOps != 0 {
-		return Result{}, pgsserrors.Misalignedf(
-			"sampling: online simpoint: interval %d not a multiple of BBV granularity %d",
-			cfg.IntervalOps, p.BBVOps)
-	}
-	res := Result{
-		Technique: "OnlineSimPoint",
-		Config:    cfg.String(),
-		Benchmark: p.Benchmark,
-		TrueIPC:   p.TrueIPC(),
 	}
 	vectors, err := p.BBVSeries(cfg.IntervalOps)
 	if err != nil {
-		return res, err
+		return iv.res, err
 	}
 	if len(vectors) == 0 {
-		return res, pgsserrors.Invalidf("sampling: online simpoint: no intervals")
+		return iv.res, pgsserrors.Invalidf("sampling: online simpoint: no intervals")
 	}
 	table := phase.MustNewTable(cfg.ThresholdPi * 3.141592653589793)
 	ids := table.ClassifySeries(vectors, cfg.IntervalOps)
-
-	intervalOps := func(i int) uint64 {
-		start := uint64(i) * cfg.IntervalOps
-		end := start + cfg.IntervalOps
-		if end > p.TotalOps {
-			end = p.TotalOps
-		}
-		return end - start
-	}
 	phases := table.Phases()
-	phaseOps := make([]uint64, len(phases))
-	for i := range vectors {
-		phaseOps[ids[i]] += intervalOps(i)
+	firsts := make([]int, len(phases))
+	for i, ph := range phases {
+		firsts[i] = ph.FirstIntervalIndex
 	}
-
-	// CPI-space estimate, weighted by each phase's op count (see SimPoint).
-	var weightedCPI, totalW float64
-	for _, ph := range phases {
-		first := ph.FirstIntervalIndex
-		ops := intervalOps(first)
-		if ops == 0 || phaseOps[ph.ID] == 0 {
-			continue
-		}
-		ipc, err := p.IPCWindow(uint64(first)*cfg.IntervalOps, cfg.IntervalOps)
-		if err != nil {
-			return res, err
-		}
-		if ipc <= 0 {
-			continue
-		}
-		w := float64(phaseOps[ph.ID])
-		weightedCPI += w / ipc
-		totalW += w
-		res.Costs.Detailed += ops
-		res.Samples++
+	if err := iv.representatives(ids, firsts); err != nil {
+		return iv.res, err
 	}
-	if totalW > 0 && weightedCPI > 0 {
-		res.EstimatedIPC = totalW / weightedCPI
-	}
-	res.Phases = len(phases)
+	iv.res.Phases = len(phases)
 	// The non-detailed remainder runs in functional-warming fast-forward
 	// (the phase tracker needs the BBV stream).
-	res.Costs.FunctionalWarm = p.TotalOps - res.Costs.Detailed
-	return res, nil
+	iv.res.Costs.FunctionalWarm = p.TotalOps - iv.res.Costs.Detailed
+	return iv.res, nil
 }

@@ -154,52 +154,35 @@ func RankedSetEstimate(rng *rand.Rand, n, setSize, cycles int, rankKey func(int)
 // fast-forward (the cheap concomitant pass); detailed warm-up and
 // measurement are charged only for the m·Cycles measured intervals.
 func RankedSet(p *profile.Profile, cfg RankedSetConfig) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	iv, err := newIntervals(p, "RSS", cfg, cfg.IntervalOps, cfg.Channel)
+	if err != nil {
 		return Result{}, err
-	}
-	if cfg.IntervalOps%p.BBVOps != 0 {
-		return Result{}, pgsserrors.Misalignedf(
-			"sampling: rss: interval %d not a multiple of BBV granularity %d",
-			cfg.IntervalOps, p.BBVOps)
-	}
-	if cfg.Channel.NeedsMAV() && !p.HasMAV() {
-		return Result{}, pgsserrors.Invalidf(
-			"sampling: rss: channel %s but profile %q has no MAV channel", cfg.Channel, p.Benchmark)
-	}
-	res := Result{
-		Technique: "RSS",
-		Config:    cfg.String(),
-		Benchmark: p.Benchmark,
-		TrueIPC:   p.TrueIPC(),
 	}
 	n := p.NumFullWindows(cfg.IntervalOps)
 	if n == 0 {
-		return res, pgsserrors.Invalidf("sampling: rss: no full %d-op intervals", cfg.IntervalOps)
+		return iv.res, pgsserrors.Invalidf("sampling: rss: no full %d-op intervals", cfg.IntervalOps)
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var firstErr error
 
 	// The concomitant, memoised per interval: ranking is a pure function
 	// of the interval, and an interval redrawn into a later set pays its
 	// fast-forward only once.
 	keys := make([]float64, n)
 	haveKey := make([]bool, n)
-	rankKey := func(iv int) float64 {
-		if haveKey[iv] {
-			return keys[iv]
+	rankKey := func(u int) float64 {
+		if haveKey[u] {
+			return keys[u]
 		}
-		haveKey[iv] = true
-		res.Costs.PlainFF += cfg.IntervalOps
-		start := uint64(iv) * cfg.IntervalOps
+		haveKey[u] = true
+		iv.res.Costs.PlainFF += cfg.IntervalOps
+		start := uint64(u) * cfg.IntervalOps
 		var key float64
 		if cfg.Channel.NeedsMAV() {
 			// Memory-access density: accesses per op, the cheap
 			// memory-boundedness proxy MAVs make available.
 			raw, err := p.MAVWindow(start, cfg.IntervalOps)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
+			iv.note(err)
 			var accesses float64
 			for _, x := range raw {
 				accesses += x
@@ -211,9 +194,7 @@ func RankedSet(p *profile.Profile, cfg RankedSetConfig) (Result, error) {
 			// dispersion, typically low CPI); sprawling code spreads out.
 			// Purely local, so no whole-program pass is charged.
 			sig, err := p.SignatureWindow(bbv.ChannelBBV, start, cfg.IntervalOps)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
+			iv.note(err)
 			var max float64
 			for _, x := range sig {
 				if x > max {
@@ -222,36 +203,17 @@ func RankedSet(p *profile.Profile, cfg RankedSetConfig) (Result, error) {
 			}
 			key = 1 - max
 		}
-		keys[iv] = key
+		keys[u] = key
 		return key
 	}
-	measure := func(iv int) float64 {
-		base := uint64(iv) * cfg.IntervalOps
-		span := cfg.IntervalOps - cfg.WarmOps - cfg.SampleOps
-		steps := span / p.FineOps
-		var off uint64
-		if steps > 0 {
-			off = uint64(rng.Int63n(int64(steps))) * p.FineOps
-		}
-		ipc, err := p.IPCWindow(base+off+cfg.WarmOps, cfg.SampleOps)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		res.Costs.Detailed += cfg.SampleOps
-		res.Costs.DetailedWarm += cfg.WarmOps
-		res.Samples++
-		if err != nil || ipc <= 0 {
-			return math.NaN()
-		}
-		return 1 / ipc
-	}
+	measure := func(u int) float64 { return iv.sampleCPI(rng, u, cfg.WarmOps, cfg.SampleOps) }
 
 	cpi, _, _ := RankedSetEstimate(rng, n, cfg.SetSize, cfg.Cycles, rankKey, measure)
-	if firstErr != nil {
-		return res, firstErr
+	if iv.err != nil {
+		return iv.res, iv.err
 	}
 	if cpi > 0 {
-		res.EstimatedIPC = 1 / cpi
+		iv.res.EstimatedIPC = 1 / cpi
 	}
-	return res, nil
+	return iv.res, nil
 }

@@ -60,22 +60,14 @@ func SMARTS(t Target, cfg SMARTSConfig) (Result, error) {
 		Benchmark: t.Benchmark(),
 		TrueIPC:   t.TrueIPC(),
 	}
-	var acc stats.Running
-	for {
-		w, ok := t.NextWindow(cfg.PeriodOps, cfg.WarmOps, cfg.SampleOps)
-		if !ok {
-			break
-		}
-		res.Costs.Detailed += w.SampleOps
-		res.Costs.DetailedWarm += w.WarmOps
-		res.Costs.FunctionalWarm += w.Ops - w.SampleOps - w.WarmOps
-		if !math.IsNaN(w.SampleIPC) && w.SampleIPC > 0 {
-			acc.Add(1 / w.SampleIPC)
-			res.Samples++
-		}
-	}
-	if err := t.Err(); err != nil {
+	cpis, err := smartsPass(t, cfg, &res.Costs)
+	res.Samples = uint64(len(cpis))
+	if err != nil {
 		return res, err
+	}
+	var acc stats.Running
+	for _, cpi := range cpis {
+		acc.Add(cpi)
 	}
 	if acc.Mean() > 0 {
 		res.EstimatedIPC = 1 / acc.Mean()
@@ -83,25 +75,22 @@ func SMARTS(t Target, cfg SMARTSConfig) (Result, error) {
 	return res, nil
 }
 
-// SampleCPIs collects the per-period sample CPIs a SMARTS pass over the
-// target would measure, without accumulating them — the sample population
-// that TurboSMARTS draws from.
-func SampleCPIs(t Target, cfg SMARTSConfig) ([]float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	var out []float64
+// smartsPass walks the SMARTS schedule over the target, charging each
+// window's costs to costs, and returns the sample CPIs in program order:
+// the population SMARTS averages and TurboSMARTS draws from.
+func smartsPass(t Target, cfg SMARTSConfig, costs *Costs) ([]float64, error) {
+	var cpis []float64
 	for {
 		w, ok := t.NextWindow(cfg.PeriodOps, cfg.WarmOps, cfg.SampleOps)
 		if !ok {
 			break
 		}
+		costs.Detailed += w.SampleOps
+		costs.DetailedWarm += w.WarmOps
+		costs.FunctionalWarm += w.Ops - w.SampleOps - w.WarmOps
 		if !math.IsNaN(w.SampleIPC) && w.SampleIPC > 0 {
-			out = append(out, 1/w.SampleIPC)
+			cpis = append(cpis, 1/w.SampleIPC)
 		}
 	}
-	if err := t.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return cpis, t.Err()
 }

@@ -69,8 +69,8 @@ func TurboSMARTS(p *profile.Profile, cfg TurboSMARTSConfig) (Result, error) {
 	if cfg.MinSamples == 0 {
 		cfg.MinSamples = 2
 	}
-	t := NewProfileTarget(p)
-	pop, err := SampleCPIs(t, cfg.SMARTS)
+	// Checkpoints stand in for the pass, so its costs are not charged.
+	pop, err := smartsPass(NewProfileTarget(p), cfg.SMARTS, new(Costs))
 	if err != nil {
 		return Result{}, err
 	}

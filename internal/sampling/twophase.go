@@ -215,27 +215,13 @@ func TwoPhaseEstimate(rng *rand.Rand, n, n1, budget int, stratumOf func(int) int
 // whole-program classification); phase-2 measurements load from
 // checkpoints, charging detailed warm-up and measurement only.
 func TwoPhase(p *profile.Profile, cfg TwoPhaseConfig) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	iv, err := newIntervals(p, "2PSS", cfg, cfg.IntervalOps, cfg.Channel)
+	if err != nil {
 		return Result{}, err
-	}
-	if cfg.IntervalOps%p.BBVOps != 0 {
-		return Result{}, pgsserrors.Misalignedf(
-			"sampling: 2pss: interval %d not a multiple of BBV granularity %d",
-			cfg.IntervalOps, p.BBVOps)
-	}
-	if cfg.Channel.NeedsMAV() && !p.HasMAV() {
-		return Result{}, pgsserrors.Invalidf(
-			"sampling: 2pss: channel %s but profile %q has no MAV channel", cfg.Channel, p.Benchmark)
-	}
-	res := Result{
-		Technique: "2PSS",
-		Config:    cfg.String(),
-		Benchmark: p.Benchmark,
-		TrueIPC:   p.TrueIPC(),
 	}
 	n := p.NumFullWindows(cfg.IntervalOps)
 	if n == 0 {
-		return res, pgsserrors.Invalidf("sampling: 2pss: no full %d-op intervals", cfg.IntervalOps)
+		return iv.res, pgsserrors.Invalidf("sampling: 2pss: no full %d-op intervals", cfg.IntervalOps)
 	}
 	n1 := int(cfg.Phase1Frac*float64(n) + 0.5)
 	if n1 < 2 {
@@ -248,12 +234,9 @@ func TwoPhase(p *profile.Profile, cfg TwoPhaseConfig) (Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	table := phase.MustNewTable(cfg.ThresholdPi * math.Pi)
 	classified := 0
-	var firstErr error
-	stratumOf := func(iv int) int {
-		sig, err := p.SignatureWindow(cfg.Channel, uint64(iv)*cfg.IntervalOps, cfg.IntervalOps)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
+	stratumOf := func(u int) int {
+		sig, err := p.SignatureWindow(cfg.Channel, uint64(u)*cfg.IntervalOps, cfg.IntervalOps)
+		iv.note(err)
 		if sig == nil {
 			sig = make(bbv.Vector, 1)
 		}
@@ -261,37 +244,18 @@ func TwoPhase(p *profile.Profile, cfg TwoPhaseConfig) (Result, error) {
 		classified++
 		// Phase-1 signature extraction is the cheap pass: only the selected
 		// intervals are functionally fast-forwarded.
-		res.Costs.PlainFF += cfg.IntervalOps
+		iv.res.Costs.PlainFF += cfg.IntervalOps
 		return ph.ID
 	}
-	measure := func(iv int) float64 {
-		base := uint64(iv) * cfg.IntervalOps
-		span := cfg.IntervalOps - cfg.WarmOps - cfg.SampleOps
-		steps := span / p.FineOps
-		var off uint64
-		if steps > 0 {
-			off = uint64(rng.Int63n(int64(steps))) * p.FineOps
-		}
-		ipc, err := p.IPCWindow(base+off+cfg.WarmOps, cfg.SampleOps)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		res.Costs.Detailed += cfg.SampleOps
-		res.Costs.DetailedWarm += cfg.WarmOps
-		res.Samples++
-		if err != nil || ipc <= 0 {
-			return math.NaN()
-		}
-		return 1 / ipc
-	}
+	measure := func(u int) float64 { return iv.sampleCPI(rng, u, cfg.WarmOps, cfg.SampleOps) }
 
 	cpi, _ := TwoPhaseEstimate(rng, n, n1, cfg.Samples, stratumOf, measure)
-	if firstErr != nil {
-		return res, firstErr
+	if iv.err != nil {
+		return iv.res, iv.err
 	}
-	res.Phases = table.NumPhases()
+	iv.res.Phases = table.NumPhases()
 	if cpi > 0 {
-		res.EstimatedIPC = 1 / cpi
+		iv.res.EstimatedIPC = 1 / cpi
 	}
-	return res, nil
+	return iv.res, nil
 }
