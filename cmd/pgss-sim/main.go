@@ -61,7 +61,7 @@ func main() {
 		check(err)
 		show(res)
 	case "simpoint":
-		cfg := pgss.SimPointConfig{IntervalOps: *interval, K: *k, Seed: 1, Restarts: 3}
+		cfg := pgss.SimPointConfig{IntervalOps: *interval, K: *k, Seed: 1}
 		if cfg.IntervalOps == 0 {
 			cfg.IntervalOps = 10_000_000 / *scale
 		}

@@ -41,7 +41,7 @@ func main() {
 	const scale = pgss.DefaultScale
 	show(pgss.RunSMARTS(pgss.NewTarget(prof), pgss.DefaultSMARTSConfig(scale)))
 	show(pgss.RunTurboSMARTS(prof, pgss.DefaultTurboSMARTSConfig(scale)))
-	show(pgss.RunSimPoint(prof, pgss.SimPointConfig{IntervalOps: 1_000_000, K: 10, Seed: 1, Restarts: 3}))
+	show(pgss.RunSimPoint(prof, pgss.SimPointConfig{IntervalOps: 1_000_000, K: 10, Seed: 1}))
 	show(pgss.RunOnlineSimPoint(prof, pgss.OnlineSimPointConfig{IntervalOps: 1_000_000, ThresholdPi: 0.10}))
 	res, st, err := pgss.RunPGSS(ctx, pgss.NewTarget(prof), pgss.DefaultPGSSConfig(scale))
 	show(res, err)

@@ -123,23 +123,6 @@ func TestClocksStayInterleaved(t *testing.T) {
 	}
 }
 
-func TestMaxOpsPerCore(t *testing.T) {
-	hash := bbv.MustNewHash(5, 42)
-	cfg := DefaultConfig()
-	cfg.MaxOpsPerCore = 123_000
-	c, err := New([]*program.Program{buildProg(t, "177.mesa", 10_000_000)}, hash, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profs, err := c.Record()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if profs[0].TotalOps != 123_000 {
-		t.Errorf("op budget not honoured: %d", profs[0].TotalOps)
-	}
-}
-
 // The headline CMP result: PGSS per core over co-run profiles estimates
 // each core's (interference-inclusive) IPC accurately with a small
 // detailed fraction.

@@ -219,37 +219,6 @@ func (t *Table) MeanRunLength() float64 {
 	return float64(s) / float64(len(t.runLengths))
 }
 
-// Summary aggregates table-level statistics for reporting.
-type Summary struct {
-	Phases         int
-	Transitions    uint64
-	MeanRunWindows float64
-	// WeightedCPIStdDev is the ops-weighted mean of within-phase standard
-	// deviation of the *sampled* CPIs; callers normalise by benchmark σ.
-	WeightedCPIStdDev float64
-}
-
-// Summarize computes a Summary.
-func (t *Table) Summarize() Summary {
-	s := Summary{
-		Phases:         len(t.phases),
-		Transitions:    t.Transitions,
-		MeanRunWindows: t.MeanRunLength(),
-	}
-	var ops uint64
-	var acc float64
-	for _, p := range t.phases {
-		if p.CPI.N() >= 2 {
-			acc += float64(p.Ops) * p.CPI.StdDev()
-			ops += p.Ops
-		}
-	}
-	if ops > 0 {
-		s.WeightedCPIStdDev = acc / float64(ops)
-	}
-	return s
-}
-
 // WithinPhaseSigma returns the within-phase standard deviation of xs, one
 // value per window classified as ids by ClassifySeries, averaged over
 // phases weighted by their windows and expressed in units of sigma: Fig

@@ -192,23 +192,6 @@ func TestWithinPhaseSigma(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	tab := MustNewTable(0.05 * math.Pi)
-	tab.Classify(oneHot(0), 100, 0)
-	p := tab.Current()
-	p.CPI.Add(1.0)
-	p.CPI.Add(1.1)
-	tab.Classify(oneHot(7), 50, 1)
-	tab.FinishRun()
-	s := tab.Summarize()
-	if s.Phases != 2 || s.Transitions != 1 {
-		t.Errorf("summary: %+v", s)
-	}
-	if s.WeightedCPIStdDev <= 0 {
-		t.Error("CPI spread missing from summary")
-	}
-}
-
 // Property: with threshold 0 every distinct direction gets its own phase;
 // with threshold π/2 everything lands in one phase.
 func TestPropertyThresholdExtremes(t *testing.T) {

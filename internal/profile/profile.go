@@ -33,8 +33,6 @@ type Config struct {
 	FineOps uint64
 	// BBVOps is the BBV-recording interval in ops.
 	BBVOps uint64
-	// MaxOps optionally truncates recording (0 = run to completion).
-	MaxOps uint64
 	// MAVBits enables the memory-access-vector channel: when > 0, a MAV of
 	// width 1<<MAVBits is recorded per BBV interval from the data addresses
 	// of retired loads and stores (0 = channel off).
@@ -104,8 +102,8 @@ type Profile struct {
 // cancelled recording stops within a fraction of a second.
 const ctxCheckOps = 1 << 16
 
-// RecordContext runs core in detailed mode to completion (or cfg.MaxOps)
-// and returns the profile. The BBV hash must be the one all consumers use.
+// RecordContext runs core in detailed mode to completion and returns the
+// profile. The BBV hash must be the one all consumers use.
 // The context is polled every ~ctxCheckOps retired ops; a cancelled or
 // expired context aborts the recording with an ErrBudgetExceeded-classed
 // error.
@@ -127,10 +125,6 @@ func RecordContext(ctx context.Context, core *cpu.Core, hash *bbv.Hash, cfg Conf
 	}
 	width := hash.Buckets()
 	var arena []float64
-	if cfg.MaxOps > 0 {
-		p.Cycles = make([]uint32, 0, cfg.MaxOps/cfg.FineOps+1)
-		arena = make([]float64, 0, (cfg.MaxOps/cfg.BBVOps+1)*uint64(width))
-	}
 	tracker := bbv.NewTracker(hash)
 	var (
 		mavt     *bbv.MAVTracker
@@ -142,19 +136,12 @@ func RecordContext(ctx context.Context, core *cpu.Core, hash *bbv.Hash, cfg Conf
 			return nil, err
 		}
 		mavt = bbv.NewMAVTracker(mavHash)
-		if cfg.MaxOps > 0 {
-			mavArena = make([]float64, 0, (cfg.MaxOps/cfg.BBVOps+1)*uint64(mavHash.Buckets()))
-		}
 	}
 	var ops uint64
 	nextCtx := uint64(ctxCheckOps)
 	lastCycles := core.T.Cycle()
 	for !core.M.Halted() {
-		chunk := cfg.FineOps - ops%cfg.FineOps
-		if cfg.MaxOps > 0 {
-			chunk = min(chunk, cfg.MaxOps-ops)
-		}
-		n := core.Run(chunk, cpu.Detailed, tracker, mavt)
+		n := core.Run(cfg.FineOps-ops%cfg.FineOps, cpu.Detailed, tracker, mavt)
 		ops += n
 		if ops%cfg.FineOps == 0 && n > 0 {
 			now := core.T.Cycle()
@@ -166,9 +153,6 @@ func RecordContext(ctx context.Context, core *cpu.Core, hash *bbv.Hash, cfg Conf
 					mavArena = mavt.AppendRaw(mavArena)
 				}
 			}
-		}
-		if cfg.MaxOps > 0 && ops >= cfg.MaxOps {
-			break
 		}
 		if ops >= nextCtx {
 			nextCtx += ctxCheckOps
@@ -424,27 +408,6 @@ func (p *Profile) SignatureWindow(ch bbv.Channel, start, ops uint64) (bbv.Vector
 		return nil, err
 	}
 	return sig, nil
-}
-
-// SignatureSeries returns normalised channel signatures of consecutive
-// windows at the given op granularity (a multiple of BBVOps).
-func (p *Profile) SignatureSeries(ch bbv.Channel, gran uint64) ([]bbv.Vector, error) {
-	if gran == 0 || gran%p.BBVOps != 0 {
-		return nil, pgsserrors.Misalignedf(
-			"profile: granularity %d not a multiple of BBV granularity %d", gran, p.BBVOps)
-	}
-	var out []bbv.Vector
-	for start := uint64(0); start < p.TotalOps; start += gran {
-		v, err := p.SignatureWindow(ch, start, gran)
-		if err != nil {
-			return nil, err
-		}
-		if v == nil {
-			break
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // NumFullWindows returns how many complete windows of the given

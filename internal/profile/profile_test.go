@@ -123,14 +123,6 @@ func TestRecordConservation(t *testing.T) {
 	}
 }
 
-func TestRecordMaxOps(t *testing.T) {
-	prog := computeProgram(t, 1_000_000)
-	p := record(t, prog, Config{FineOps: 1000, BBVOps: 5000, MaxOps: 20_000})
-	if p.TotalOps != 20_000 {
-		t.Errorf("MaxOps not honoured: %d", p.TotalOps)
-	}
-}
-
 func TestIPCWindowMatchesTrueIPC(t *testing.T) {
 	prog := computeProgram(t, 5000)
 	p := record(t, prog, Config{FineOps: 1000, BBVOps: 5000})
@@ -436,13 +428,6 @@ func TestSignatureWindowChannels(t *testing.T) {
 		}
 		if n := sig.Norm(); math.Abs(n-1) > 1e-9 {
 			t.Errorf("%v: signature norm %g", ch, n)
-		}
-		series, err := p.SignatureSeries(ch, p.BBVOps)
-		if err != nil {
-			t.Fatalf("%v series: %v", ch, err)
-		}
-		if len(series) != len(p.RawBBVs) {
-			t.Errorf("%v: series length %d, want %d", ch, len(series), len(p.RawBBVs))
 		}
 	}
 	if _, err := p.SignatureWindow(bbv.Channel(9), 0, p.BBVOps); err == nil {

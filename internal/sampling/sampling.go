@@ -134,8 +134,6 @@ type Target interface {
 	TrueIPC() float64
 	// Pos returns ops completed so far.
 	Pos() uint64
-	// Done reports whether the program is exhausted.
-	Done() bool
 	// NextWindow advances by up to `ops` operations. If warm+sample > 0,
 	// the window begins with `warm` detailed warm-up ops followed by
 	// `sample` measured detailed ops; the remainder runs in
@@ -183,9 +181,6 @@ func (t *ProfileTarget) TrueIPC() float64 { return t.p.TrueIPC() }
 // Pos implements Target.
 func (t *ProfileTarget) Pos() uint64 { return t.pos }
 
-// Done implements Target.
-func (t *ProfileTarget) Done() bool { return t.pos >= t.p.TotalOps }
-
 // Reset rewinds to the start of the program and clears any sticky error.
 func (t *ProfileTarget) Reset() { t.pos, t.err = 0, nil }
 
@@ -200,7 +195,7 @@ func (t *ProfileTarget) fail(err error) (Window, bool) {
 
 // NextWindow implements Target.
 func (t *ProfileTarget) NextWindow(ops, warm, sample uint64) (Window, bool) {
-	if t.Done() || t.err != nil {
+	if t.pos >= t.p.TotalOps || t.err != nil {
 		return Window{}, false
 	}
 	if ops == 0 || ops%t.p.BBVOps != 0 {
@@ -299,9 +294,6 @@ func (t *LiveTarget) TrueIPC() float64 { return t.trueIPC }
 // Pos implements Target.
 func (t *LiveTarget) Pos() uint64 { return t.pos }
 
-// Done implements Target.
-func (t *LiveTarget) Done() bool { return t.core.M.Halted() }
-
 // Err implements Target: a live target ends on machine halt, which is
 // abnormal only when the machine itself reports an error.
 func (t *LiveTarget) Err() error { return t.core.M.Err() }
@@ -310,7 +302,7 @@ func (t *LiveTarget) Err() error { return t.core.M.Err() }
 // sample, functional-warming remainder) runs through the core's stepping
 // kernel with both trackers attached.
 func (t *LiveTarget) NextWindow(ops, warm, sample uint64) (Window, bool) {
-	if t.Done() {
+	if t.core.M.Halted() {
 		return Window{}, false
 	}
 	w := Window{SampleIPC: math.NaN()}

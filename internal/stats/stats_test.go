@@ -82,40 +82,6 @@ func TestPropertyWelford(t *testing.T) {
 	}
 }
 
-// Property: merging two accumulators equals accumulating everything.
-func TestPropertyMerge(t *testing.T) {
-	f := func(xs, ys []float64) bool {
-		var a, b, all Running
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e9 {
-				continue
-			}
-			a.Add(x)
-			all.Add(x)
-		}
-		for _, y := range ys {
-			if math.IsNaN(y) || math.IsInf(y, 0) || math.Abs(y) > 1e9 {
-				continue
-			}
-			b.Add(y)
-			all.Add(y)
-		}
-		a.Merge(b)
-		if a.N() != all.N() {
-			return false
-		}
-		if all.N() == 0 {
-			return true
-		}
-		scale := math.Max(1, math.Abs(all.Variance()))
-		return almost(a.Mean(), all.Mean(), 1e-6*math.Max(1, math.Abs(all.Mean()))) &&
-			almost(a.Variance(), all.Variance(), 1e-6*scale)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestConfidenceZ(t *testing.T) {
 	cases := map[float64]float64{0.90: 1.6449, 0.95: 1.96, 0.99: 2.5758, 0.997: 3.0, 0.42: 3.0}
 	for level, want := range cases {
