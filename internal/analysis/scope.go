@@ -10,6 +10,10 @@ import (
 // parallel and live runs are bit-identical only while nothing in this set
 // consults a wall clock, an environment variable, process-global
 // randomness, or Go's randomized map iteration order on an output path.
+// The set holds the engines and every simulator package under them (the
+// ISA, programs, caches, branch unit, CMP, clustering, statistics, the time
+// model, traces and the binary codec), so every error they return is
+// classified.
 //
 // Deliberately absent: campaign and experiments (wall-clock timing,
 // jittered retry backoff and progress logging are their job), validate
@@ -31,6 +35,16 @@ var enginePaths = map[string]bool{
 	"pgss/internal/cpu":         true,
 	"pgss/internal/faultinject": true,
 	"pgss/internal/workload":    true,
+	"pgss/internal/cache":       true,
+	"pgss/internal/branch":      true,
+	"pgss/internal/cluster":     true,
+	"pgss/internal/cmp":         true,
+	"pgss/internal/trace":       true,
+	"pgss/internal/isa":         true,
+	"pgss/internal/program":     true,
+	"pgss/internal/stats":       true,
+	"pgss/internal/timemodel":   true,
+	"pgss/internal/binenc":      true,
 }
 
 // IsEngine reports whether path is one of the deterministic engine

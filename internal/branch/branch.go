@@ -5,8 +5,9 @@
 package branch
 
 import (
-	"fmt"
 	"math/bits"
+
+	"pgss/internal/pgsserrors"
 )
 
 // counter is a saturating 2-bit counter. Values 0..1 predict not-taken,
@@ -48,7 +49,7 @@ type Bimodal struct {
 // count. Counters start weakly not-taken.
 func NewBimodal(entries int) (*Bimodal, error) {
 	if entries <= 0 || entries&(entries-1) != 0 {
-		return nil, fmt.Errorf("branch: bimodal entries %d not a power of two", entries)
+		return nil, pgsserrors.Invalidf("branch: bimodal entries %d not a power of two", entries)
 	}
 	b := &Bimodal{table: make([]counter, entries), mask: uint64(entries - 1)}
 	for i := range b.table {
@@ -85,7 +86,7 @@ type Gshare struct {
 // width).
 func NewGshare(entries int, historyBits uint) (*Gshare, error) {
 	if entries <= 0 || entries&(entries-1) != 0 {
-		return nil, fmt.Errorf("branch: gshare entries %d not a power of two", entries)
+		return nil, pgsserrors.Invalidf("branch: gshare entries %d not a power of two", entries)
 	}
 	idxBits := uint(bits.TrailingZeros(uint(entries)))
 	if historyBits > idxBits {
@@ -130,7 +131,7 @@ type BTB struct {
 // NewBTB builds a BTB with a power-of-two entry count.
 func NewBTB(entries int) (*BTB, error) {
 	if entries <= 0 || entries&(entries-1) != 0 {
-		return nil, fmt.Errorf("branch: BTB entries %d not a power of two", entries)
+		return nil, pgsserrors.Invalidf("branch: BTB entries %d not a power of two", entries)
 	}
 	return &BTB{
 		tags:    make([]uint64, entries),
@@ -255,7 +256,7 @@ func NewUnit(cfg Config) (*Unit, error) {
 	case "bimodal":
 		dir, err = NewBimodal(cfg.Entries)
 	default:
-		return nil, fmt.Errorf("branch: unknown predictor %q", cfg.Predictor)
+		return nil, pgsserrors.Invalidf("branch: unknown predictor %q", cfg.Predictor)
 	}
 	if err != nil {
 		return nil, err
@@ -325,10 +326,10 @@ func (u *Unit) Snapshot() State {
 func (u *Unit) Restore(s State) error {
 	if len(s.BTBTags) != len(u.btb.tags) || len(s.BTBTargets) != len(u.btb.targets) ||
 		len(s.RASStack) != len(u.ras.stack) {
-		return fmt.Errorf("branch: snapshot geometry mismatch")
+		return pgsserrors.Invalidf("branch: snapshot geometry mismatch")
 	}
 	if s.RASTop < 0 || s.RASTop >= len(u.ras.stack) || s.RASDepth < 0 || s.RASDepth > len(u.ras.stack) {
-		return fmt.Errorf("branch: snapshot RAS top %d depth %d outside a %d-entry stack",
+		return pgsserrors.Invalidf("branch: snapshot RAS top %d depth %d outside a %d-entry stack",
 			s.RASTop, s.RASDepth, len(u.ras.stack))
 	}
 	copy(u.btb.tags, s.BTBTags)
@@ -340,7 +341,7 @@ func (u *Unit) Restore(s State) error {
 	switch d := u.dir.(type) {
 	case *Gshare:
 		if len(s.DirCounters) != len(d.table) {
-			return fmt.Errorf("branch: direction table size mismatch")
+			return pgsserrors.Invalidf("branch: direction table size mismatch")
 		}
 		for i, c := range s.DirCounters {
 			d.table[i] = counter(c)
@@ -348,7 +349,7 @@ func (u *Unit) Restore(s State) error {
 		d.history = s.DirHistory
 	case *Bimodal:
 		if len(s.DirCounters) != len(d.table) {
-			return fmt.Errorf("branch: direction table size mismatch")
+			return pgsserrors.Invalidf("branch: direction table size mismatch")
 		}
 		for i, c := range s.DirCounters {
 			d.table[i] = counter(c)

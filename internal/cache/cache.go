@@ -9,8 +9,9 @@
 package cache
 
 import (
-	"fmt"
 	"math/bits"
+
+	"pgss/internal/pgsserrors"
 )
 
 // Stats counts accesses for one cache.
@@ -60,18 +61,18 @@ type Config struct {
 // SizeBytes = sets*ways*LineBytes for some power-of-two set count.
 func New(cfg Config) (*Cache, error) {
 	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.LineBytes <= 0 {
-		return nil, fmt.Errorf("cache %s: nonpositive geometry %+v", cfg.Name, cfg)
+		return nil, pgsserrors.Invalidf("cache %s: nonpositive geometry %+v", cfg.Name, cfg)
 	}
 	if cfg.SizeBytes%(cfg.Ways*cfg.LineBytes) != 0 {
-		return nil, fmt.Errorf("cache %s: size %d not divisible by ways*line %d",
+		return nil, pgsserrors.Invalidf("cache %s: size %d not divisible by ways*line %d",
 			cfg.Name, cfg.SizeBytes, cfg.Ways*cfg.LineBytes)
 	}
 	sets := cfg.SizeBytes / (cfg.Ways * cfg.LineBytes)
 	if sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("cache %s: set count %d not a power of two", cfg.Name, sets)
+		return nil, pgsserrors.Invalidf("cache %s: set count %d not a power of two", cfg.Name, sets)
 	}
 	if cfg.LineBytes&(cfg.LineBytes-1) != 0 {
-		return nil, fmt.Errorf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineBytes)
+		return nil, pgsserrors.Invalidf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineBytes)
 	}
 	c := &Cache{
 		name:     cfg.Name,
@@ -206,7 +207,7 @@ func (c *Cache) Snapshot() State {
 // Restore reinstates a snapshot taken from a cache of identical geometry.
 func (c *Cache) Restore(s State) error {
 	if len(s.Tags) != len(c.tags) || len(s.LRU) != len(c.lru) || len(s.Dirty) != len(c.dirty) {
-		return fmt.Errorf("cache %s: snapshot geometry %d/%d/%d tags/LRU/dirty lines, cache has %d",
+		return pgsserrors.Invalidf("cache %s: snapshot geometry %d/%d/%d tags/LRU/dirty lines, cache has %d",
 			c.name, len(s.Tags), len(s.LRU), len(s.Dirty), len(c.tags))
 	}
 	copy(c.tags, s.Tags)
@@ -283,7 +284,7 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 // use.
 func NewSharedHierarchy(cfg HierarchyConfig, l2 *Cache) (*Hierarchy, error) {
 	if l2 == nil {
-		return nil, fmt.Errorf("cache: nil shared L2")
+		return nil, pgsserrors.Invalidf("cache: nil shared L2")
 	}
 	l1i, err := New(cfg.L1I)
 	if err != nil {

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"slices"
@@ -9,6 +10,7 @@ import (
 
 	"pgss/internal/bbv"
 	"pgss/internal/cpu"
+	"pgss/internal/pgsserrors"
 	"pgss/internal/profile"
 	"pgss/internal/program"
 	"pgss/internal/workload"
@@ -71,16 +73,16 @@ func TestRestoreGeometryMismatch(t *testing.T) {
 	ck := Capture(c1)
 	// A core for a different program has a different data segment size.
 	c2, _ := newCore(t, "177.mesa", 200_000)
-	if err := ck.Restore(c2); err == nil {
-		t.Error("cross-program restore accepted")
+	if err := ck.Restore(c2); !errors.Is(err, pgsserrors.ErrInvalidConfig) {
+		t.Errorf("cross-program restore: got %v, want ErrInvalidConfig", err)
 	}
 }
 
 // TestRestoreConfigMismatch: restoring into a core built for the same
 // program but a different microarchitectural configuration, or from a
 // checkpoint whose data image or arrays have the wrong shape (as a library
-// decoded from disk may hold), must fail with an error, not silently
-// corrupt the simulation.
+// decoded from disk may hold), must fail with an invalid-config error, not
+// silently corrupt the simulation.
 func TestRestoreConfigMismatch(t *testing.T) {
 	c1, prog := newCore(t, "197.parser", 200_000)
 	var r cpu.Retired
@@ -121,8 +123,8 @@ func TestRestoreConfigMismatch(t *testing.T) {
 		}
 		bad := *ck
 		tc.edit(&bad)
-		if err := bad.Restore(c2); err == nil {
-			t.Errorf("restore with %s accepted", tc.name)
+		if err := bad.Restore(c2); !errors.Is(err, pgsserrors.ErrInvalidConfig) {
+			t.Errorf("restore with %s: got %v, want ErrInvalidConfig", tc.name, err)
 		}
 	}
 }

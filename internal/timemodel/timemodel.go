@@ -7,8 +7,7 @@
 package timemodel
 
 import (
-	"fmt"
-
+	"pgss/internal/pgsserrors"
 	"pgss/internal/sampling"
 )
 
@@ -40,7 +39,7 @@ func PaperRates() Rates {
 // Validate rejects nonpositive rates.
 func (r Rates) Validate() error {
 	if r.PlainFFBBV <= 0 || r.FunctionalWarm <= 0 || r.DetailedWarm <= 0 || r.Detailed <= 0 {
-		return fmt.Errorf("timemodel: nonpositive rate in %+v", r)
+		return pgsserrors.Invalidf("timemodel: nonpositive rate in %+v", r)
 	}
 	return nil
 }

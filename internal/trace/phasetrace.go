@@ -10,6 +10,7 @@ import (
 	"pgss/internal/branch"
 	"pgss/internal/cache"
 	"pgss/internal/cpu"
+	"pgss/internal/pgsserrors"
 	"pgss/internal/phase"
 	"pgss/internal/program"
 )
@@ -70,7 +71,7 @@ const (
 func PhaseTraces(prog *program.Program, cc cpu.CoreConfig, hash *bbv.Hash,
 	intervalOps uint64, thresholdRad float64, policy RepPolicy) ([]PhaseTrace, error) {
 	if intervalOps == 0 {
-		return nil, fmt.Errorf("trace: zero interval")
+		return nil, pgsserrors.Invalidf("trace: zero interval")
 	}
 
 	// Pass 1: online phase analysis. BBVs need only the retire stream and
@@ -98,7 +99,7 @@ func PhaseTraces(prog *program.Program, cc cpu.CoreConfig, hash *bbv.Hash,
 	}
 	table.FinishRun()
 	if table.NumPhases() == 0 {
-		return nil, fmt.Errorf("trace: program too short for interval %d", intervalOps)
+		return nil, pgsserrors.Invalidf("trace: program too short for interval %d", intervalOps)
 	}
 
 	// Representative interval per phase, in program order.
@@ -143,7 +144,7 @@ func PhaseTraces(prog *program.Program, cc cpu.CoreConfig, hash *bbv.Hash,
 		}
 		captureFrom := start - warm
 		if n := core2.Run(captureFrom-pos, cpu.FunctionalWarming, nil, nil); pos+n < captureFrom {
-			return nil, fmt.Errorf("trace: program ended at %d before representative %d", pos+n, start)
+			return nil, pgsserrors.Invalidf("trace: program ended at %d before representative %d", pos+n, start)
 		}
 		pos = captureFrom
 		micro := MicroState{
@@ -187,7 +188,7 @@ func EstimateIPC(traces []PhaseTrace, cc cpu.CoreConfig) (float64, error) {
 		totalW += pt.Weight
 	}
 	if totalW == 0 || weightedCPI == 0 || math.IsNaN(weightedCPI) {
-		return 0, fmt.Errorf("trace: no usable phase traces")
+		return 0, pgsserrors.Invalidf("trace: no usable phase traces")
 	}
 	return totalW / weightedCPI, nil
 }

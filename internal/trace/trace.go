@@ -21,6 +21,7 @@ import (
 
 	"pgss/internal/cpu"
 	"pgss/internal/isa"
+	"pgss/internal/pgsserrors"
 )
 
 // magic identifies the trace format; version bumps on breaking changes.
@@ -113,7 +114,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, fmt.Errorf("trace: short header: %w", err)
 	}
 	if string(head) != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", head)
+		return nil, pgsserrors.Corruptf("trace: bad magic %q", head)
 	}
 	return &Reader{r: br}, nil
 }
