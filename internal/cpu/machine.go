@@ -17,7 +17,6 @@
 package cpu
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -48,8 +47,9 @@ type Retired struct {
 }
 
 // ErrWildJump is wrapped by Machine errors for computed jumps that leave
-// the code image.
-var ErrWildJump = errors.New("jump target outside code image")
+// the code image. Like a static jump out of the code, which
+// program.Validate rejects, it marks a malformed program.
+var ErrWildJump = pgsserrors.Invalidf("jump target outside code image")
 
 // Machine is the functional interpreter: registers, data memory and PC.
 type Machine struct {
