@@ -180,6 +180,48 @@ func TestHashIndexRange(t *testing.T) {
 	}
 }
 
+// TestHashIndexMatchesBits: Index returns the selected address bits in
+// index order, for every address of the candidate window (with the bits
+// below it varying too) and for random addresses with higher bits set.
+func TestHashIndexMatchesBits(t *testing.T) {
+	ranges := []struct {
+		name   string
+		build  func(int, int64) (*Hash, error)
+		lo, hi int
+	}{
+		{"bbv", NewHash, 2, 18},
+		{"mav", NewMAVHash, mavLoBit, mavHiBit},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, r := range ranges {
+		for width := 1; width <= r.hi-r.lo; width++ {
+			for _, seed := range []int64{1, 5, 42} {
+				h, err := r.build(width, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bits := h.Bits()
+				check := func(addr uint64) {
+					want := 0
+					for i, b := range bits {
+						want |= int(addr>>b&1) << i
+					}
+					if got := h.Index(addr); got != want {
+						t.Fatalf("%s width %d seed %d: Index(%#x) = %d, bits %v give %d",
+							r.name, width, seed, addr, got, bits, want)
+					}
+				}
+				for a := uint64(0); a < 1<<(r.hi-r.lo); a++ {
+					check(a<<r.lo | a&(1<<r.lo-1))
+				}
+				for k := 0; k < 1000; k++ {
+					check(rng.Uint64() | 1<<(r.hi+rng.Intn(64-r.hi)))
+				}
+			}
+		}
+	}
+}
+
 func TestTrackerChargesOpsToTakenBranch(t *testing.T) {
 	h := MustNewHash(5, 42)
 	tr := NewTracker(h)

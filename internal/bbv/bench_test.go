@@ -17,6 +17,17 @@ func BenchmarkTrackerUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkNewHash measures building the default BBV hash and its index
+// tables, which every suite and profile recording pays once.
+func BenchmarkNewHash(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewHash(DefaultHashBits, 42); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTakeVector measures the allocating per-window readout.
 func BenchmarkTakeVector(b *testing.B) {
 	tr := NewTracker(MustNewHash(DefaultHashBits, 42))
