@@ -9,8 +9,18 @@ import (
 	"pgss/internal/pgsserrors"
 )
 
-// ErrSentinel is a package-level sentinel: allowed.
-var ErrSentinel = errors.New("engine sentinel")
+// ErrSentinel is a bare package-level sentinel: its errors stay
+// unclassified however they are wrapped.
+var ErrSentinel = errors.New("engine sentinel") // want "bare errors.New in engine package"
+
+// ErrFormatted is a package-level fmt.Errorf without %w.
+var ErrFormatted = fmt.Errorf("engine sentinel %d", 2) // want "fmt.Errorf without %w in engine package"
+
+// ErrClassified is a sentinel built with a taxonomy helper: allowed.
+var ErrClassified = pgsserrors.Invalidf("jump target outside code image")
+
+// ErrBlessed hands the bare sentinel straight to the taxonomy: allowed.
+var ErrBlessed = pgsserrors.Transient(errors.New("injected fault"))
 
 func bareNew() error {
 	return errors.New("boom") // want "bare errors.New in engine package"
