@@ -15,8 +15,9 @@ const (
 	// PointCampaignRun fires inside a campaign worker at the start of every
 	// run attempt (inside panic recovery, under the per-attempt context).
 	PointCampaignRun = "campaign.run"
-	// PointParallelShard fires at the start of every fast-forward shard of
-	// the parallel engine.
+	// PointParallelShard fires once per fast-forward shard worker of the
+	// parallel engine, before its first chunk of windows, so a run crosses
+	// it once per shard however many chunks each shard computes.
 	PointParallelShard = "parallel.shard"
 	// PointParallelSample fires before every detailed sample a parallel
 	// sample worker executes.

@@ -28,6 +28,42 @@ func TestShardPanicRecovered(t *testing.T) {
 	}
 }
 
+// TestShardHookFiresOncePerWorker: the shard hook fires once per shard
+// worker, before its first chunk, however many chunks each worker then
+// computes and whether or not another worker has failed. The chaos
+// harness's hook schedules count on exactly Shards crossings per run.
+func TestShardHookFiresOncePerWorker(t *testing.T) {
+	p := suiteProfile(t, "164.gzip", 5_000_000)
+	cfg := testConfig()
+	cfg.FFOps = 10_000 // 500 windows: 63 chunks over 4 workers
+	cfg.SpreadOps = 10_000
+	for _, c := range []struct {
+		name  string
+		nth   []int
+		fired int
+	}{
+		{"4th", []int{4}, 1},
+		{"5th", []int{5}, 0},
+		{"1st and 4th", []int{1, 4}, 2},
+	} {
+		var rules []faultinject.HookRule
+		for _, nth := range c.nth {
+			rules = append(rules, faultinject.HookRule{
+				Point: faultinject.PointParallelShard, Action: faultinject.HookError, Nth: nth,
+			})
+		}
+		hooks := faultinject.NewHooks(rules...)
+		_, _, err := Run(context.Background(), NewProfileSource(p), cfg,
+			Options{Shards: 4, SampleWorkers: 2, Hooks: hooks})
+		if got := hooks.Fired(); got != c.fired {
+			t.Errorf("%s: hooks fired %d times, want %d", c.name, got, c.fired)
+		}
+		if (err != nil) != (c.fired > 0) {
+			t.Errorf("%s: run error %v with %d hooks fired", c.name, err, c.fired)
+		}
+	}
+}
+
 // TestSamplePanicRecovered: a panicking sample worker fails its request so
 // the decision walk unblocks with ErrRunPanicked, and the pool survives to
 // drain remaining requests.
