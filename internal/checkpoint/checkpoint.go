@@ -144,13 +144,19 @@ func (l *Library) Nearest(pos uint64) *Checkpoint {
 // steps forward to exactly pos in the given mode, returning the number of
 // ops stepped (the random-access overhead the paper's §6 calls "the
 // overhead of loading checkpoints"). Every mode reaches the same
-// architectural state. cpu.FunctionalWarming also keeps the caches and
-// predictors warm, as a detailed sample at pos needs; cpu.FastForward
-// leaves them as the checkpoint had them, for callers that use only the
-// retire stream from pos on.
+// architectural state. cpu.FunctionalWarming restores the whole checkpoint
+// and keeps the caches and predictors warm, as a detailed sample at pos
+// needs; cpu.FastForward restores only the machine and leaves the caches,
+// predictor and timing model as the core held them, for callers that use
+// only the retire stream from pos on.
 func (l *Library) Seek(c *cpu.Core, pos uint64, mode cpu.Mode) (seekOps uint64, err error) {
 	ck := l.Nearest(pos)
-	if err := ck.Restore(c); err != nil {
+	if mode == cpu.FastForward {
+		err = c.M.Restore(ck.Machine)
+	} else {
+		err = ck.Restore(c)
+	}
+	if err != nil {
 		return 0, err
 	}
 	if at := c.M.Retired(); at < pos {

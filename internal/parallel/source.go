@@ -125,11 +125,12 @@ func (s profileSampler) Sample(pos, warm, sample uint64) (float64, error) {
 // predictors) from the nearest checkpoint. Each sample worker owns a core,
 // and shard cores wait on an idle list between chunks. Shards only need
 // the retire stream, so they seek and step architecture-only
-// (cpu.FastForward) and never read their caches or predictors; every
-// detailed sample instead restores a warmed checkpoint and warm-forwards
-// to its position, which takes no steps when the library's stride divides
-// the FF period (the suite's libraries checkpoint every period) and the
-// position is at or below its last checkpoint.
+// (cpu.FastForward): the seek restores only the checkpoint's machine, and
+// the shard core's caches and predictors stay as they were, unread; every
+// detailed sample instead restores a whole warmed checkpoint and
+// warm-forwards to its position, which takes no steps when the library's
+// stride divides the FF period (the suite's libraries checkpoint every
+// period) and the position is at or below its last checkpoint.
 // Restoring is bit-identical to continuous simulation, and window BBVs
 // drop the tracker's pending ops at every boundary, so the windows — and
 // therefore the whole run — are invariant to the shard layout: the engine
@@ -203,11 +204,11 @@ func (s *LiveSource) TotalOps() uint64 { return s.total }
 func (s *LiveSource) TrueIPC() float64 { return s.trueIPC }
 
 // Windows implements Source for one chunk. An idle shard core (or a new
-// one) seeks to the chunk's start — a checkpoint restore, which replaces
-// the core's whole state, then fast-forward — and fast-forwards through
-// the chunk's windows with the BBV and MAV trackers attached. Both vectors
-// depend only on the architectural retire stream, so no cache or
-// predictor is warmed. The core goes back on the idle list when the chunk
+// one) seeks to the chunk's start — a restore of the checkpoint's machine,
+// which replaces the core's architectural state, then fast-forward — and
+// fast-forwards through the chunk's windows with the BBV and MAV trackers
+// attached. Both vectors depend only on the architectural retire stream,
+// so no cache or predictor is restored or warmed. The core goes back on the idle list when the chunk
 // is done; a call that fails or panics drops it.
 func (s *LiveSource) Windows(ctx context.Context, ffOps uint64, first int, out []Window) error {
 	c, err := s.shardCore()
