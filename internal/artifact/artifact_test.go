@@ -580,6 +580,68 @@ func TestVerify(t *testing.T) {
 	}
 }
 
+// TestUnkeptObjectsUnmapped: Verify only checks the objects it loads, and
+// a library that fails to decode is deleted and re-recorded, so neither may
+// leave its file mapped.
+func TestUnkeptObjectsUnmapped(t *testing.T) {
+	if _, err := os.Stat("/proc/self/maps"); err != nil {
+		t.Skip("no /proc/self/maps to count mappings in")
+	}
+	dir, err := filepath.EvalSymlinks(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := testLibrary(t)
+	if _, err := s.Library(libraryKey(), func() (*checkpoint.Library, error) { return lib, nil }); err != nil {
+		t.Fatal(err)
+	}
+	path := s.ObjectPath(libraryKey())
+	for i := 0; i < 3; i++ {
+		if rep, err := s.Verify(); err != nil || rep.Healthy != 1 {
+			t.Fatalf("verify = %s, %v", rep, err)
+		}
+	}
+	if n := mappings(t, path); n != 0 {
+		t.Errorf("%d mappings of the library remain after three Verify calls", n)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-8] ^= 0xff // the last frame's CRC
+	bad := filepath.Join(dir, "bad.ckpt")
+	if err := os.WriteFile(bad, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := checkpoint.Load(nil, bad); !errors.Is(err, pgsserrors.ErrCacheCorrupt) {
+		t.Fatalf("bad CRC: err = %v, want ErrCacheCorrupt", err)
+	}
+	if n := mappings(t, bad); n != 0 {
+		t.Errorf("%d mappings of a library that failed to load remain", n)
+	}
+}
+
+// mappings counts the mappings of path in /proc/self/maps.
+func mappings(t *testing.T, path string) int {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, line := range strings.Split(string(maps), "\n") {
+		if strings.HasSuffix(line, " "+path) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestRerecordIdenticalHash is the determinism anchor of the whole design:
 // recording the same key twice publishes byte-identical objects, so a
 // post-crash re-record converges on the same content address.

@@ -225,9 +225,10 @@ func checkLiveLayouts(t *testing.T, src *LiveSource, cfg core.Config, layouts []
 	}
 }
 
-// TestLiveRunLeavesLibraryUnchanged: a loaded library's pages and cache
-// arrays alias the file's bytes, and every shard and sample worker restores
-// from them. A live run must leave all of them exactly as loaded.
+// TestLiveRunLeavesLibraryUnchanged: a loaded library's pages, cache
+// arrays and predictor arrays alias the file's bytes, and every shard and
+// sample worker restores from them. A live run must leave all of them
+// exactly as loaded.
 func TestLiveRunLeavesLibraryUnchanged(t *testing.T) {
 	src := liveSource(t, "197.parser", 600_000, 20_000)
 	path := filepath.Join(t.TempDir(), "lib.ckpt")
@@ -247,8 +248,11 @@ func TestLiveRunLeavesLibraryUnchanged(t *testing.T) {
 				out = append(out, slices.Clone(page))
 			}
 			for _, cs := range []cache.State{ck.L1I, ck.L1D, ck.L2} {
-				out = append(out, slices.Clone(cs.Tags), slices.Clone(cs.LRU))
+				out = append(out, slices.Clone(cs.Tags), slices.Clone(cs.LRU), slices.Clone(cs.Dirty))
 			}
+			b := ck.Branch
+			out = append(out, slices.Clone(b.BTBTags), slices.Clone(b.BTBTargets),
+				slices.Clone(b.RASStack), slices.Clone(b.DirCounters))
 		}
 		return out
 	}
@@ -274,7 +278,7 @@ func TestLiveRunLeavesLibraryUnchanged(t *testing.T) {
 			t.Errorf("FFOps %d: %d idle shard cores after %d shards", c.ffOps, idle, c.shards)
 		}
 		if !reflect.DeepEqual(contents(), before) {
-			t.Errorf("FFOps %d: a live run changed the loaded library's pages or cache arrays", c.ffOps)
+			t.Errorf("FFOps %d: a live run changed the loaded library's pages or arrays", c.ffOps)
 		}
 	}
 }

@@ -14,6 +14,7 @@ package profile
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -526,18 +527,34 @@ func (p *Profile) SaveFS(fsys faultinject.FS, path string) error {
 // filesystem). The binary container decodes with zero copies (mmapped on
 // the real filesystem). Decode failures, version skew and integrity violations are reported as
 // ErrCacheCorrupt so callers can delete the file and re-record; a missing
-// file keeps its os error (check with os.IsNotExist).
+// file keeps its os error (check with os.IsNotExist). A file that fails to
+// load is unmapped before LoadFS returns; a loaded profile keeps its
+// mapping.
 func LoadFS(fsys faultinject.FS, path string) (*Profile, error) {
-	data, err := binenc.ReadFile(fsys, path)
+	return loadFS(fsys, path, true)
+}
+
+// CheckFS loads and checks the profile at path like LoadFS, then unmaps
+// the file: for callers that audit a profile without keeping it.
+func CheckFS(fsys faultinject.FS, path string) error {
+	_, err := loadFS(fsys, path, false)
+	return err
+}
+
+func loadFS(fsys faultinject.FS, path string, keep bool) (*Profile, error) {
+	data, release, err := binenc.ReadFile(fsys, path)
 	if err != nil {
 		return nil, err
 	}
 	p, err := decodeBinary(data)
-	if err != nil {
-		return nil, fmt.Errorf("profile: %s: %w", path, err)
+	if err == nil {
+		err = p.CheckIntegrity()
 	}
-	if err := p.CheckIntegrity(); err != nil {
-		return nil, fmt.Errorf("profile: %s: %w", path, err)
+	if err != nil {
+		return nil, fmt.Errorf("profile: %s: %w", path, errors.Join(err, release()))
+	}
+	if !keep {
+		return nil, release()
 	}
 	return p, nil
 }

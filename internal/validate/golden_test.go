@@ -36,12 +36,13 @@ const goldenOps = 2_000_000
 // a result, a statistic, a recorded artifact or a trace bundle fails here.
 // The "replay/" values were taken before the replay techniques shared one
 // interval population and one SMARTS pass. "checkpoints" hashes library
-// file bytes, so it moves with the library container version;
-// "checkpoints/state" pins what those files restore, which must not.
+// file bytes, so it moves with the library container version (its values
+// are container v3's); "checkpoints/state" pins what those files restore,
+// which must not.
 var goldenDigests = map[string]map[string]string{
 	"164.gzip": {
 		"profile":               "85a10bd42ab230d0071699d3eb0c29e2b874566307e8e8e8f61149fd3a4e777f",
-		"checkpoints":           "638765281ec98fcd60730e3eb6d50c3867d5cbef78ba52f2fefbef488ddc4367",
+		"checkpoints":           "6e75c790a8f84bc69b9ad57def98683336097f19db9aa4bc68d5e35e061009f7",
 		"checkpoints/state":     "b096311bded859a048f92352e335ec646275adc536b26ded802cfef230fe48c6",
 		"run/default":           "dbdecc89e8f00d2a7178280f1634909f2f55a1d5b64ec66ae63966802b1d3fd2",
 		"run/guard-trace":       "5924530cbd1b261ddd6e97ab873256e1f44c1459d33d9a97134c32383b0a1358",
@@ -62,7 +63,7 @@ var goldenDigests = map[string]map[string]string{
 	},
 	"179.art": {
 		"profile":               "1b5884fd559e4da5a9a49bcfe66129b09fb1047892756e165923fadec590acbd",
-		"checkpoints":           "676f07053929ed09a595eb3e279e668073402527cdbfab7442a1f1c7523ea8bf",
+		"checkpoints":           "0aa8a61aba0c521d16e1686eb7d6eed14d78b8441661e4355df0d68e65850de1",
 		"checkpoints/state":     "d62b7f8acb32b7d5ada40507790a24c9b7c4140ab2bafc3c71bdbeb69c8f26bc",
 		"run/default":           "bf69456b41785bac06d5fed0654b9635d862b373ab16d506425e43a49aa3146d",
 		"run/guard-trace":       "4663a5b55fc82b7f136055f978dda2a9c9274d139010feeb66c8ee93d2669217",
@@ -83,7 +84,7 @@ var goldenDigests = map[string]map[string]string{
 	},
 	"181.mcf": {
 		"profile":               "7706981ccf5b8a75946abeaa38181810beee5f851e9d35a3d8007dd9dedc5c8b",
-		"checkpoints":           "5f2f93f437f5192932e8b471409c65760d9600ddc9bba6505f686c526dda3ef6",
+		"checkpoints":           "46c2bdce85350592abc8bc98610b8241f0e4b105d47c4ea28bd2ba411e0b7029",
 		"checkpoints/state":     "2f361b06c539ddf9dd268f6f327b2744caf19f5b6cce9fc9719a15f912254584",
 		"run/default":           "f802eeca1532a8f4ca5dcf160b08ccadc4c1f631bb985fc0ad6ff7eb810f0c0e",
 		"run/guard-trace":       "3bce383b9a43c90957f1a3c5ab562c8d4464b4db46a369cad567b205ba456e35",
