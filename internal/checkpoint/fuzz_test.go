@@ -124,10 +124,10 @@ func runSample(t *testing.T, a, b *cpu.Core, n int) {
 // Each input is a list of (tag, payload) frames that the harness re-frames
 // with valid CRCs, so inputs get past the container's checksums to the
 // checks behind them: frame order and count, page ids, page and array
-// lengths, and the gob state. Every input must either fail to load with
-// ErrCacheCorrupt or load a library whose checkpoints all restore into a
-// core of the seed program without a panic; a restore may still refuse a
-// checkpoint with an error.
+// lengths, dirty bytes and the state frame's length. Every input must
+// either fail to load with ErrCacheCorrupt or load a library whose
+// checkpoints all restore into a core of the seed program without a panic;
+// a restore may still refuse a checkpoint with an error.
 func FuzzLibraryDecode(f *testing.F) {
 	seed, newCore := fuzzSeedLibrary(f)
 	f.Add(seed)
