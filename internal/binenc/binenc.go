@@ -16,8 +16,10 @@
 //	         payload [payloadLen]byte | pad to 8 |
 //	         crc32c(payload) uint32 | reserved uint32
 //
-// Frames repeat until end of file. Every decode failure is classified as
-// pgsserrors.ErrCacheCorrupt, so loaders can delete the artifact and
+// Frames repeat until end of file. Writers put zeros in every reserved
+// word and pad byte, and readers require them, so no byte of a container
+// can change without failing its decode. Every decode failure is classified
+// as pgsserrors.ErrCacheCorrupt, so loaders can delete the artifact and
 // rebuild it (the profile cache's self-healing path).
 package binenc
 
@@ -148,6 +150,9 @@ func NewReader(data []byte, magic string) (*Reader, uint32, error) {
 	if !HasMagic(data, magic) {
 		return nil, 0, pgsserrors.Corruptf("binenc: bad magic %q, want %q", data[:MagicLen], magic)
 	}
+	if reserved := binary.LittleEndian.Uint32(data[12:]); reserved != 0 {
+		return nil, 0, pgsserrors.Corruptf("binenc: reserved header word is %#x, want 0", reserved)
+	}
 	version := binary.LittleEndian.Uint32(data[8:])
 	return &Reader{data: data, off: headerSize}, version, nil
 }
@@ -175,7 +180,17 @@ func (r *Reader) Next() (tag uint32, payload []byte, err error) {
 		return 0, nil, pgsserrors.Corruptf("binenc: truncated frame trailer at offset %d", r.off)
 	}
 	payload = r.data[body : body+int(size)]
-	want := binary.LittleEndian.Uint32(r.data[body+int(padded):])
+	trailer := r.data[body+int(padded):]
+	// A frame the Writer wrote has zeros in both reserved words and in
+	// every pad byte.
+	stray := binary.LittleEndian.Uint32(hdr[4:]) | binary.LittleEndian.Uint32(trailer[4:])
+	for _, b := range r.data[body+int(size) : body+int(padded)] {
+		stray |= uint32(b)
+	}
+	if stray != 0 {
+		return 0, nil, pgsserrors.Corruptf("binenc: frame at offset %d: non-zero reserved or pad bytes", r.off)
+	}
+	want := binary.LittleEndian.Uint32(trailer)
 	if got := crc32.Checksum(payload, castagnoli); got != want {
 		return 0, nil, pgsserrors.Corruptf("binenc: frame at offset %d: crc %08x, want %08x", r.off, got, want)
 	}

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"io"
@@ -218,6 +219,32 @@ func reframe(t *testing.T, frames []frame) []byte {
 		}
 	}
 	return buf.data
+}
+
+// TestReservedAndPadBytesCorrupt: flipping any reserved word or pad byte
+// of a small saved library, which the frame CRCs do not cover, still makes
+// it fail to decode as ErrCacheCorrupt.
+func TestReservedAndPadBytesCorrupt(t *testing.T) {
+	data, _ := smallLibrary(t)
+	offsets := []int{12, 13, 14, 15} // the header's reserved word
+	for off := 16; off < len(data); {
+		size := int(binary.LittleEndian.Uint64(data[off+8:]))
+		body, trailer := off+16, off+16+(size+7)&^7
+		for i := range 4 { // each reserved word
+			offsets = append(offsets, off+4+i, trailer+4+i)
+		}
+		for i := body + size; i < trailer; i++ { // the pad bytes
+			offsets = append(offsets, i)
+		}
+		off = trailer + 8
+	}
+	for _, i := range offsets {
+		flipped := slices.Clone(data)
+		flipped[i] ^= 0xff
+		if _, err := decodeBinaryLibrary(flipped); !errors.Is(err, pgsserrors.ErrCacheCorrupt) {
+			t.Errorf("byte %d of %d flipped: err = %v, want ErrCacheCorrupt", i, len(data), err)
+		}
+	}
 }
 
 // TestDecodeAllocs pins the zero-copy decode: pages, arrays, counters and

@@ -145,6 +145,31 @@ func FuzzLibraryDecode(f *testing.F) {
 // to about 3 KB: two checkpoints of a program with an 8-word data image,
 // on a core with one-set caches and tiny predictor tables.
 func fuzzSeedLibrary(tb testing.TB) ([]byte, func(testing.TB) *cpu.Core) {
+	saved, newCore := smallLibrary(tb)
+	r, _, err := binenc.NewReader(saved, libraryMagic)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var seed []byte
+	for {
+		tag, payload, err := r.Next()
+		if err == io.EOF {
+			return seed, newCore
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if tag > 0xff || len(payload) > 0xffff {
+			tb.Fatalf("seed frame tag %d, %d bytes: too large for the fuzz encoding", tag, len(payload))
+		}
+		seed = append(seed, byte(tag), byte(len(payload)), byte(len(payload)>>8))
+		seed = append(seed, payload...)
+	}
+}
+
+// smallLibrary records the library behind fuzzSeedLibrary and returns its
+// saved container with the constructor of the cores it restores into.
+func smallLibrary(tb testing.TB) ([]byte, func(testing.TB) *cpu.Core) {
 	b := program.NewBuilder("fuzz-seed")
 	b.AllocData(8)
 	b.LoadImm(isa.T1, 0)
@@ -186,25 +211,7 @@ func fuzzSeedLibrary(tb testing.TB) ([]byte, func(testing.TB) *cpu.Core) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	r, _, err := binenc.NewReader(saved, libraryMagic)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var seed []byte
-	for {
-		tag, payload, err := r.Next()
-		if err == io.EOF {
-			return seed, newCore
-		}
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if tag > 0xff || len(payload) > 0xffff {
-			tb.Fatalf("seed frame tag %d, %d bytes: too large for the fuzz encoding", tag, len(payload))
-		}
-		seed = append(seed, byte(tag), byte(len(payload)), byte(len(payload)>>8))
-		seed = append(seed, payload...)
-	}
+	return saved, newCore
 }
 
 // loadAndRestore re-frames a FuzzLibraryDecode input into a library
