@@ -3,12 +3,14 @@ package artifact
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +18,7 @@ import (
 	"time"
 
 	"pgss/internal/bbv"
+	"pgss/internal/binenc"
 	"pgss/internal/checkpoint"
 	"pgss/internal/cpu"
 	"pgss/internal/faultinject"
@@ -34,12 +37,14 @@ func testProfile(bench string, salt float64) *profile.Profile {
 		}
 		return v
 	}
-	return &profile.Profile{
+	p := &profile.Profile{
 		Benchmark: bench, HashBits: 3, FineOps: 100, BBVOps: 200,
 		TotalOps: 400, TotalCycles: 900,
-		Cycles:  []uint32{200, 250, 200, 250},
-		RawBBVs: []bbv.Vector{mkvec(1), mkvec(100)},
+		Cycles: []uint32{200, 250, 200, 250},
 	}
+	p.AppendBBV(mkvec(1))
+	p.AppendBBV(mkvec(100))
+	return p
 }
 
 func profileKey(bench string) Key {
@@ -400,6 +405,85 @@ func TestCorruptObjectSelfHeals(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: re-recorded profile differs", tc.name)
 		}
+	}
+}
+
+// TestEveryFlippedProfileByteIsCorrupt: flipping any one byte of the small
+// saved profile, reserved words and pad bytes included, makes it fail to
+// load as ErrCacheCorrupt, so the store re-records it.
+func TestEveryFlippedProfileByteIsCorrupt(t *testing.T) {
+	mem := faultinject.NewMemFS()
+	if err := testProfile("197.parser", 0).SaveFS(mem, "p.art"); err != nil {
+		t.Fatal(err)
+	}
+	data, err := mem.ReadFile("p.art")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		flipped := slices.Clone(data)
+		flipped[i] ^= 0xff
+		writeRaw(t, mem, "p.art", flipped)
+		if _, err := profile.LoadFS(mem, "p.art"); !errors.Is(err, pgsserrors.ErrCacheCorrupt) {
+			t.Errorf("byte %d of %d flipped: err = %v, want ErrCacheCorrupt", i, len(data), err)
+		}
+	}
+}
+
+// TestVersion2ProfileReRecorded: a profile object in container version 2,
+// which stored each BBV interval's raw vector instead of running sums,
+// loads as corrupt, so the store deletes it and records the profile again.
+func TestVersion2ProfileReRecorded(t *testing.T) {
+	want := testProfile("197.parser", 0)
+	var v2 bytes.Buffer
+	w, err := binenc.NewWriter(&v2, profile.BinaryMagic, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := json.Marshal(map[string]any{
+		"Benchmark": want.Benchmark, "HashBits": want.HashBits, "FineOps": want.FineOps,
+		"BBVOps": want.BBVOps, "TotalOps": want.TotalOps, "TotalCycles": want.TotalCycles,
+		"TailOps": want.TailOps, "BBVWidth": 1 << want.HashBits,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw []float64
+	for start := uint64(0); start < want.TotalOps; start += want.BBVOps {
+		v, err := want.BBVWindow(start, want.BBVOps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = append(raw, v...)
+	}
+	w.Frame(1, meta)
+	w.Frame(2, binenc.WordBytes(want.Cycles))
+	w.Frame(3, binenc.WordBytes(raw))
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	mem := faultinject.NewMemFS()
+	s := openMem(t, mem)
+	k := profileKey("197.parser")
+	if _, err := s.Profile(k, func() (*profile.Profile, error) { return want, nil }); err != nil {
+		t.Fatal(err)
+	}
+	path := s.ObjectPath(k)
+	writeRaw(t, mem, path, v2.Bytes())
+	var recs atomic.Int32
+	got, err := s.Profile(k, func() (*profile.Profile, error) { recs.Add(1); return want, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs.Load() != 1 {
+		t.Fatalf("version-2 object did not trigger a re-record (ran %d)", recs.Load())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("re-recorded profile differs")
+	}
+	if _, err := profile.LoadFS(mem, path); err != nil {
+		t.Fatalf("re-published object: %v", err)
 	}
 }
 

@@ -168,7 +168,7 @@ func (cs *CoreState) retire(r *cpu.Retired, cfg Config) {
 		cs.lastCycles = now
 	}
 	if cs.ops%cfg.Profile.BBVOps == 0 {
-		cs.prof.RawBBVs = append(cs.prof.RawBBVs, cs.tracker.TakeRaw())
+		cs.prof.AppendBBV(cs.tracker.TakeRaw())
 	}
 }
 
@@ -180,7 +180,7 @@ func (cs *CoreState) finish() {
 		cs.prof.TailOps = tail
 	}
 	if cs.ops%cs.prof.BBVOps != 0 {
-		cs.prof.RawBBVs = append(cs.prof.RawBBVs, cs.tracker.TakeRaw())
+		cs.prof.AppendBBV(cs.tracker.TakeRaw())
 	}
 	cs.prof.TotalOps = cs.ops
 	cs.prof.TotalCycles = cs.Core.T.Cycle()

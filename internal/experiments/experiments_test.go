@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -66,8 +67,10 @@ func TestSuiteDiskCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v1, err1 := p1.BBVSeries(p1.BBVOps)
+	v2, err2 := p2.BBVSeries(p2.BBVOps)
 	if p1.TotalCycles != p2.TotalCycles || p1.TotalOps != p2.TotalOps ||
-		len(p1.RawBBVs) != len(p2.RawBBVs) {
+		err1 != nil || err2 != nil || !reflect.DeepEqual(v1, v2) {
 		t.Error("artifact store round trip changed the profile")
 	}
 }

@@ -22,14 +22,12 @@ func syntheticProfile(totalOps uint64) *Profile {
 		p.Cycles[i] = uint32(1200 + (i%7)*100)
 		p.TotalCycles += uint64(p.Cycles[i])
 	}
-	nBBV := int(totalOps / p.BBVOps)
-	p.RawBBVs = make([]bbv.Vector, nBBV)
-	for j := range p.RawBBVs {
+	for j := range int(totalOps / p.BBVOps) {
 		v := make(bbv.Vector, 1<<p.HashBits)
 		for k := range v {
 			v[k] = float64((j+k)%11) * 100
 		}
-		p.RawBBVs[j] = v
+		p.AppendBBV(v)
 	}
 	return p
 }
@@ -59,6 +57,20 @@ func BenchmarkBBVWindowInto(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		start := uint64(i) % (p.TotalOps / ffOps) * ffOps
 		if _, err := p.BBVWindowInto(dst, start, ffOps); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBBVSeries measures a whole normalised BBV series at the default
+// PGSS fast-forward period, as SimPoint, online SimPoint and Stratified
+// read it: one allocation for the windows and one for the slice.
+func BenchmarkBBVSeries(b *testing.B) {
+	p := syntheticProfile(10_000_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.BBVSeries(100_000); err != nil {
 			b.Fatal(err)
 		}
 	}

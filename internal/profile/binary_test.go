@@ -3,11 +3,13 @@ package profile
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pgss/internal/bbv"
@@ -28,7 +30,9 @@ func stripPrefix(p *Profile) *Profile {
 		TotalCycles: p.TotalCycles,
 		Cycles:      p.Cycles,
 		TailOps:     p.TailOps,
-		RawBBVs:     p.RawBBVs,
+		MAVBits:     p.MAVBits,
+		bbvRows:     p.bbvRows,
+		mavRows:     p.mavRows,
 	}
 }
 
@@ -133,16 +137,8 @@ func TestLoadThroughInjectedFS(t *testing.T) {
 	}
 }
 
-// stripPrefixMAV is stripPrefix plus the version-2 MAV channel fields.
-func stripPrefixMAV(p *Profile) *Profile {
-	s := stripPrefix(p)
-	s.MAVBits = p.MAVBits
-	s.RawMAVs = p.RawMAVs
-	return s
-}
-
-// TestBinaryRoundTripMAV: a two-channel profile survives the version-2
-// container bit-exactly, MAV arena included, and still passes integrity.
+// TestBinaryRoundTripMAV: a two-channel profile survives the container
+// bit-exactly, MAV running sums included, and still passes integrity.
 func TestBinaryRoundTripMAV(t *testing.T) {
 	prog := computeProgram(t, 3000)
 	p := record(t, prog, Config{FineOps: 1000, BBVOps: 5000, MAVBits: bbv.DefaultMAVBits, MAVSeed: DefaultMAVSeed})
@@ -157,7 +153,7 @@ func TestBinaryRoundTripMAV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(stripPrefixMAV(got), stripPrefixMAV(p)) {
+	if !reflect.DeepEqual(stripPrefix(got), stripPrefix(p)) {
 		t.Fatal("binary round-trip changed the two-channel profile")
 	}
 	if err := got.CheckIntegrity(); err != nil {
@@ -183,5 +179,104 @@ func TestLoadVersion1Compat(t *testing.T) {
 	}
 	if _, err := LoadFS(nil, path); !errors.Is(err, pgsserrors.ErrCacheCorrupt) {
 		t.Fatalf("version-1 profile: err = %v, want ErrCacheCorrupt", err)
+	}
+}
+
+// loadBytes loads a profile container from memory through LoadFS.
+func loadBytes(tb testing.TB, data []byte) (*Profile, error) {
+	tb.Helper()
+	fsys := faultinject.NewMemFS()
+	err := faultinject.WriteAtomic(fsys, "p.bin", 0o644, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return LoadFS(fsys, "p.bin")
+}
+
+// container writes a profile container of the given version from its
+// parts, the way encodeBinary lays them out.
+func container(tb testing.TB, version uint32, meta profileMeta, cycles []uint32, bbvs, mavs []float64) []byte {
+	tb.Helper()
+	js, err := json.Marshal(meta)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w, err := binenc.NewWriter(&buf, profileMagic, version)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w.Frame(tagProfileMeta, js)
+	w.Frame(tagProfileCycles, binenc.WordBytes(cycles))
+	w.Frame(tagProfileBBVs, binenc.WordBytes(bbvs))
+	if mavs != nil {
+		w.Frame(tagProfileMAVs, binenc.WordBytes(mavs))
+	}
+	if err := w.Err(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// rawIntervals turns running sums back into per-interval raw vectors laid
+// end to end: the arenas of profile container version 2.
+func rawIntervals(rows []float64, width int) []float64 {
+	raw := make([]float64, len(rows)-width)
+	for i := range raw {
+		raw[i] = rows[i+width] - rows[i]
+	}
+	return raw
+}
+
+// TestDecodeRejects: each malformed container loads as ErrCacheCorrupt,
+// without a panic, while the unmodified parts load.
+func TestDecodeRejects(t *testing.T) {
+	prog := memProgram(t, 3000)
+	p := record(t, prog, Config{FineOps: 1000, BBVOps: 5000, MAVBits: bbv.DefaultMAVBits, MAVSeed: DefaultMAVSeed})
+	meta := profileMeta{
+		Benchmark: p.Benchmark, HashBits: p.HashBits, FineOps: p.FineOps, BBVOps: p.BBVOps,
+		TotalOps: p.TotalOps, TotalCycles: p.TotalCycles, TailOps: p.TailOps,
+		BBVWidth: 1 << p.HashBits, MAVBits: p.MAVBits, MAVWidth: 1 << p.MAVBits,
+	}
+	bw, mw := meta.BBVWidth, meta.MAVWidth
+	withMeta := func(edit func(m *profileMeta)) []byte {
+		m := meta
+		edit(&m)
+		return container(t, profileVersion, m, p.Cycles, p.bbvRows, p.mavRows)
+	}
+	nonZeroFirst := func(rows []float64) []float64 {
+		rows = slices.Clone(rows)
+		rows[3]++
+		return rows
+	}
+	if _, err := loadBytes(t, container(t, profileVersion, meta, p.Cycles, p.bbvRows, p.mavRows)); err != nil {
+		t.Fatalf("unmodified container: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"non-zero first BBV row", container(t, profileVersion, meta, p.Cycles, nonZeroFirst(p.bbvRows), p.mavRows)},
+		{"non-zero first MAV row", container(t, profileVersion, meta, p.Cycles, p.bbvRows, nonZeroFirst(p.mavRows))},
+		{"BBV row short", container(t, profileVersion, meta, p.Cycles, p.bbvRows[:len(p.bbvRows)-bw], p.mavRows)},
+		{"MAV row short", container(t, profileVersion, meta, p.Cycles, p.bbvRows, p.mavRows[:len(p.mavRows)-mw])},
+		{"BBV arena not whole rows", container(t, profileVersion, meta, p.Cycles, p.bbvRows[:len(p.bbvRows)-1], p.mavRows)},
+		{"BBV width not 1<<HashBits", withMeta(func(m *profileMeta) { m.BBVWidth /= 2 })},
+		{"MAV width not 1<<MAVBits", withMeta(func(m *profileMeta) { m.MAVWidth *= 2 })},
+		{"HashBits 0", withMeta(func(m *profileMeta) { m.HashBits = 0 })},
+		{"HashBits -1", withMeta(func(m *profileMeta) { m.HashBits = -1 })},
+		{"HashBits 17", withMeta(func(m *profileMeta) { m.HashBits = 17 })},
+		{"MAVBits 13", withMeta(func(m *profileMeta) { m.MAVBits = 13 })},
+		{"MAVBits -1", withMeta(func(m *profileMeta) { m.MAVBits = -1 })},
+		{"MAV frame without MAVBits", withMeta(func(m *profileMeta) { m.MAVBits, m.MAVWidth = 0, 0 })},
+		{"MAVBits without MAV frame", container(t, profileVersion, meta, p.Cycles, p.bbvRows, nil)},
+		{"version 2 file", container(t, 2, meta, p.Cycles, rawIntervals(p.bbvRows, bw), rawIntervals(p.mavRows, mw))},
+	} {
+		if _, err := loadBytes(t, tc.data); !errors.Is(err, pgsserrors.ErrCacheCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCacheCorrupt", tc.name, err)
+		}
 	}
 }

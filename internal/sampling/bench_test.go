@@ -25,14 +25,12 @@ func benchProfile(totalOps uint64) *profile.Profile {
 		p.Cycles[i] = uint32(1200 + (i%7)*100)
 		p.TotalCycles += uint64(p.Cycles[i])
 	}
-	nBBV := int(totalOps / p.BBVOps)
-	p.RawBBVs = make([]bbv.Vector, nBBV)
-	for j := range p.RawBBVs {
+	for j := range int(totalOps / p.BBVOps) {
 		v := make(bbv.Vector, 1<<p.HashBits)
 		for k := range v {
 			v[k] = float64((j+k)%11) * 100
 		}
-		p.RawBBVs[j] = v
+		p.AppendBBV(v)
 	}
 	return p
 }

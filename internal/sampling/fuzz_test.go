@@ -28,18 +28,15 @@ func fuzzProfile() *profile.Profile {
 		p.Cycles[i] = uint32(120 + (i%7)*30)
 		p.TotalCycles += uint64(p.Cycles[i])
 	}
-	nBBV := int(p.TotalOps / p.BBVOps)
-	p.RawBBVs = make([]bbv.Vector, nBBV)
-	p.RawMAVs = make([]bbv.Vector, nBBV)
-	for j := range p.RawBBVs {
+	for j := range int(p.TotalOps / p.BBVOps) {
 		v := make(bbv.Vector, 1<<p.HashBits)
 		m := make(bbv.Vector, 1<<p.MAVBits)
 		for k := range v {
 			v[k] = float64((j/8+k)%5) * 50
 			m[k] = float64((j/4+2*k)%3) * 20
 		}
-		p.RawBBVs[j] = v
-		p.RawMAVs[j] = m
+		p.AppendBBV(v)
+		p.AppendMAV(m)
 	}
 	return p
 }
