@@ -10,7 +10,7 @@ BENCH_PKGS ?= ./...
 # regressions fail while run-to-run jitter in timing-dependent paths does
 # not.
 COVER_FLOOR ?= 70.0
-# Per-target budget for `make fuzz-smoke` (8 targets; CI budgets 120s total).
+# Per-target budget for `make fuzz-smoke` (9 targets; CI budgets 135s total).
 FUZZTIME ?= 15s
 # Where `make profile` drops its pprof bundles.
 PROFILE_DIR ?= /tmp/pgss-profile
@@ -115,9 +115,10 @@ cover:
 
 # Run each native fuzz target for FUZZTIME on top of the committed seed
 # corpus. `go test` allows one -fuzz pattern per invocation, hence one run
-# per target. FuzzLibraryDecode's inputs are kilobytes long, and the
-# default minimisation of each new input (up to 60s, quadratic in its
-# length) would eat its whole budget, so it minimises for 2s at most.
+# per target. FuzzLibraryDecode's and FuzzProfileDecode's inputs are
+# kilobytes long, and the default minimisation of each new input (up to
+# 60s, quadratic in its length) would eat their whole budget, so they
+# minimise for 2s at most.
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzConfigValidate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bbv -run '^$$' -fuzz '^FuzzTrackerStream$$' -fuzztime $(FUZZTIME)
@@ -125,6 +126,7 @@ fuzz-smoke:
 	$(GO) test ./internal/phase -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzCheckpointResume$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzLibraryDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/profile -run '^$$' -fuzz '^FuzzProfileDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 	$(GO) test ./internal/binenc -run '^$$' -fuzz '^FuzzFrameDecoder$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sampling -run '^$$' -fuzz '^FuzzTwoPhaseConfig$$' -fuzztime $(FUZZTIME)
 
