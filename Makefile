@@ -10,7 +10,7 @@ BENCH_PKGS ?= ./...
 # regressions fail while run-to-run jitter in timing-dependent paths does
 # not.
 COVER_FLOOR ?= 70.0
-# Per-target budget for `make fuzz-smoke` (9 targets; CI budgets 135s total).
+# Per-target budget for `make fuzz-smoke` (10 targets; CI budgets 150s total).
 FUZZTIME ?= 15s
 # Where `make profile` drops its pprof bundles.
 PROFILE_DIR ?= /tmp/pgss-profile
@@ -121,6 +121,7 @@ cover:
 # minimise for 2s at most.
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzConfigValidate$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cpu -run '^$$' -fuzz '^FuzzRunFastForward$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bbv -run '^$$' -fuzz '^FuzzTrackerStream$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bbv -run '^$$' -fuzz '^FuzzMAVAdditivity$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/phase -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime $(FUZZTIME)

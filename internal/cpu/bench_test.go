@@ -3,6 +3,7 @@ package cpu_test
 import (
 	"testing"
 
+	"pgss/internal/bbv"
 	"pgss/internal/cpu"
 	"pgss/internal/program"
 	"pgss/internal/workload"
@@ -97,10 +98,39 @@ func BenchmarkCoreStepWarmBlock(b *testing.B) {
 	blockLoop(b, (*cpu.Core).StepWarmBlock)
 }
 
-// BenchmarkCoreStepFFBlock measures the batched plain fast-forward loop —
-// the superblock interpreter alone, no warming or timing.
-func BenchmarkCoreStepFFBlock(b *testing.B) {
-	blockLoop(b, (*cpu.Core).StepFFBlock)
+// BenchmarkCoreRunFF measures plain fast-forward as a PGSS-Live shard
+// drives it: Core.Run in FastForward over 100k-op windows (the FF period
+// at scale 10) with a BBV tracker attached, reading the window's vector
+// into a reused buffer. ns/op is per retired instruction. 177.mesa and
+// 188.ammp are two of the live-phased programs.
+func BenchmarkCoreRunFF(b *testing.B) {
+	const windowOps = 100_000
+	hash := bbv.MustNewHash(bbv.DefaultHashBits, 42)
+	for _, name := range []string{"177.mesa", "188.ammp"} {
+		prog := benchProgram(b, name)
+		b.Run(name, func(b *testing.B) {
+			c, err := cpu.NewCore(cpu.MustNewMachine(prog), cpu.DefaultCoreConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			tracker := bbv.NewTracker(hash)
+			vec := make(bbv.Vector, hash.Buckets())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := uint64(0); done < uint64(b.N); {
+				want := min(uint64(b.N)-done, windowOps)
+				n := c.Run(want, cpu.FastForward, tracker, nil)
+				tracker.TakeVectorInto(vec)
+				tracker.DropPending()
+				if n < want {
+					b.StopTimer()
+					c.M.Reset()
+					b.StartTimer()
+				}
+				done += n
+			}
+		})
+	}
 }
 
 var coreSink *cpu.Core

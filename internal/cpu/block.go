@@ -5,16 +5,18 @@ import (
 	"pgss/internal/isa"
 )
 
-// BlockOps is the standard batch size for the Step*Block fast paths. Large
-// enough to amortise dispatch into the superblock interpreter, small enough
-// that a batch of Retired records (~40 KiB) stays cache-resident.
+// BlockOps is the batch size in which Core.Run steps the record modes.
+// Large enough to amortise dispatch into the superblock interpreter, small
+// enough that a batch of Retired records (512 × 64 B = 32 KiB) stays
+// cache-resident.
 const BlockOps = 512
 
 // BlockBuf returns the core's reusable retirement batch buffer, allocating
 // it on first use. The buffer is owned by whoever is driving the core: a
 // Core is single-goroutine at a time (the parallel engine gives every shard
 // and sample worker its own Core), so one scratch buffer per core is safe
-// and keeps the hot loops allocation-free.
+// and keeps the hot loops allocation-free. Fast-forward writes no records,
+// so a core that only fast-forwards never allocates it.
 func (c *Core) BlockBuf() []Retired {
 	if c.block == nil {
 		c.block = make([]Retired, BlockOps)
@@ -29,9 +31,10 @@ func (c *Core) BlockBuf() []Retired {
 type Mode uint8
 
 const (
-	// FastForward retires ops architecturally only (StepFFBlock): caches,
-	// predictors and the pipeline are left exactly as they were. It is for
-	// callers that need only the retire stream and discard the core's
+	// FastForward retires ops architecturally only, through the
+	// interpreter's record-free loop: caches, predictors and the pipeline
+	// are left exactly as they were. It is for callers that need only the
+	// BBV and MAV of the retire stream and discard the core's
 	// microarchitectural state afterwards.
 	FastForward Mode = iota
 	// FunctionalWarming also warms the caches and branch predictors from
@@ -49,24 +52,28 @@ const (
 // The retire stream, and so what the trackers see, is the same in every
 // mode.
 //
-// The core steps in BlockOps superblock batches and charges t once per
-// straight-line run, which accumulates exactly like per-op RetireOps(1)
+// At every taken branch Run charges t the ops since the previous one, the
+// branch included, which accumulates exactly like per-op RetireOps(1)
 // calls (integer op counts are exact in float64). Ops retired since the
 // last taken branch stay pending in t for the caller's next period.
+// FastForward runs all n ops in one call to the interpreter's record-free
+// loop; the other modes step in BlockOps superblock batches whose records
+// feed the caches or the timing model and then the trackers.
 func (c *Core) Run(n uint64, mode Mode, t *bbv.Tracker, mav *bbv.MAVTracker) uint64 {
+	var step func(*Core, []Retired) int
+	switch mode {
+	case FastForward:
+		return c.M.runFF(n, t, mav)
+	case FunctionalWarming:
+		step = (*Core).StepWarmBlock
+	case Detailed:
+		step = (*Core).StepDetailedBlock
+	}
 	buf := c.BlockBuf()
 	var done, run uint64
 	for done < n {
 		chunk := min(n-done, uint64(len(buf)))
-		var k int
-		switch mode {
-		case FastForward:
-			k = c.StepFFBlock(buf[:chunk])
-		case FunctionalWarming:
-			k = c.StepWarmBlock(buf[:chunk])
-		case Detailed:
-			k = c.StepDetailedBlock(buf[:chunk])
-		}
+		k := step(c, buf[:chunk])
 		if t != nil || mav != nil {
 			for i := range buf[:k] {
 				r := &buf[i]
@@ -90,12 +97,6 @@ func (c *Core) Run(n uint64, mode Mode, t *bbv.Tracker, mav *bbv.MAVTracker) uin
 		t.RetireOps(run)
 	}
 	return done
-}
-
-// StepFFBlock executes up to len(buf) instructions in plain fast-forward
-// mode and returns the retire count. Equivalent to that many StepFF calls.
-func (c *Core) StepFFBlock(buf []Retired) int {
-	return c.M.StepBlock(buf)
 }
 
 // StepWarmBlock executes up to len(buf) instructions in functional-warming

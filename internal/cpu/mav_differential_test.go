@@ -8,24 +8,36 @@ import (
 
 // TestMAVStepBlockDifferential is the MAV analogue of
 // TestStepBlockDifferential: feeding a MAV tracker from the batched
-// retirement stream (StepFFBlock / StepWarmBlock, how the profile recorder
-// and parallel engine drive it) must produce bitwise the same raw
-// memory-access vectors as feeding it from per-op stepping — including at
-// arbitrary mid-stream cuts, since MAV accumulation has no pending state.
+// retirement stream (StepWarmBlock's records, or fast-forward's
+// record-free loop with no BBV tracker attached) must produce bitwise the
+// same raw memory-access vectors as feeding it from per-op stepping,
+// including at arbitrary mid-stream cuts, since MAV accumulation has no
+// pending state.
 func TestMAVStepBlockDifferential(t *testing.T) {
 	progs := diffPrograms(t)
 	h := bbv.MustNewMAVHash(bbv.DefaultMAVBits, 42)
 	modes := map[string]struct {
-		step  func(c *Core, r *Retired) bool
-		block func(c *Core, buf []Retired) int
+		step func(c *Core, r *Retired) bool
+		// run retires up to len(buf) ops, feeding their accesses to mav.
+		run func(c *Core, buf []Retired, mav *bbv.MAVTracker) int
 	}{
 		"ff": {
-			step:  func(c *Core, r *Retired) bool { return c.StepFF(r) },
-			block: func(c *Core, buf []Retired) int { return c.StepFFBlock(buf) },
+			step: (*Core).StepFF,
+			run: func(c *Core, buf []Retired, mav *bbv.MAVTracker) int {
+				return int(c.Run(uint64(len(buf)), FastForward, nil, mav))
+			},
 		},
 		"warm": {
-			step:  func(c *Core, r *Retired) bool { return c.StepWarm(r) },
-			block: func(c *Core, buf []Retired) int { return c.StepWarmBlock(buf) },
+			step: (*Core).StepWarm,
+			run: func(c *Core, buf []Retired, mav *bbv.MAVTracker) int {
+				n := c.StepWarmBlock(buf)
+				for i := range buf[:n] {
+					if buf[i].Op.IsMem() {
+						mav.Access(buf[i].MemAddr)
+					}
+				}
+				return n
+			},
 		},
 	}
 	for pname, p := range progs {
@@ -46,14 +58,11 @@ func TestMAVStepBlockDifferential(t *testing.T) {
 				const maxOps = 2_000_000
 				ops := 0
 				for ops < maxOps {
-					n := mode.block(c2, buf)
+					n := mode.run(c2, buf, tr2)
 					for i := 0; i < n; i++ {
-						if buf[i].Op.IsMem() {
-							tr2.Access(buf[i].MemAddr)
-						}
 						r = Retired{}
 						if !mode.step(c1, &r) {
-							t.Fatalf("op %d: per-op halted but block produced a record", ops+i)
+							t.Fatalf("op %d: per-op halted but block retired it", ops+i)
 						}
 						if r.Op.IsMem() {
 							tr1.Access(r.MemAddr)

@@ -3,6 +3,7 @@ package cpu
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pgss/internal/bbv"
@@ -29,12 +30,77 @@ func snapshotMicro(c *Core) microState {
 	}
 }
 
+// archDiff describes the first difference between two machines'
+// architectural state other than the data image: registers, pc, retired
+// ops, halt and error, wild accesses and every page's dirty flag (which
+// Machine.Restore relies on to skip clean pages). It is "" when they agree.
+func archDiff(m1, m2 *Machine) string {
+	switch {
+	case m1.regs != m2.regs:
+		return fmt.Sprintf("registers %v / %v", m1.regs, m2.regs)
+	case m1.pc != m2.pc:
+		return fmt.Sprintf("pc %d / %d", m1.pc, m2.pc)
+	case m1.retired != m2.retired:
+		return fmt.Sprintf("retired %d / %d", m1.retired, m2.retired)
+	case m1.halted != m2.halted:
+		return fmt.Sprintf("halted %v / %v", m1.halted, m2.halted)
+	case fmt.Sprint(m1.err) != fmt.Sprint(m2.err):
+		return fmt.Sprintf("err %v / %v", m1.err, m2.err)
+	case m1.WildAccesses != m2.WildAccesses:
+		return fmt.Sprintf("wild accesses %d / %d", m1.WildAccesses, m2.WildAccesses)
+	case !slices.Equal(m1.dirty, m2.dirty):
+		return fmt.Sprintf("page dirty flags %v / %v", m1.dirty, m2.dirty)
+	}
+	return ""
+}
+
+// perOpRun is the reference for Core.Run: up to n single steps, each
+// charged to the trackers on its own, as the retire stream reads.
+func perOpRun(c *Core, n uint64, step func(*Core, *Retired) bool, t *bbv.Tracker, mav *bbv.MAVTracker) uint64 {
+	var done uint64
+	var r Retired
+	for done < n && step(c, &r) {
+		done++
+		t.RetireOps(1)
+		if r.Taken {
+			t.TakenBranch(r.Addr)
+		}
+		if r.Op.IsMem() {
+			mav.Access(r.MemAddr)
+		}
+	}
+	return done
+}
+
+// periodDiff takes the period's raw BBV (pending ops flushed into a
+// register, so they are compared too) and MAV from both tracker pairs and
+// describes the first bucket that differs. It is "" when they agree.
+func periodDiff(t1, t2 *bbv.Tracker, mav1, mav2 *bbv.MAVTracker) string {
+	t1.TakenBranch(0)
+	t2.TakenBranch(0)
+	for _, v := range []struct {
+		name   string
+		v1, v2 bbv.Vector
+	}{
+		{"BBV", t1.TakeRaw(), t2.TakeRaw()},
+		{"MAV", mav1.TakeRaw(), mav2.TakeRaw()},
+	} {
+		for b := range v.v1 {
+			if v.v1[b] != v.v2[b] {
+				return fmt.Sprintf("%s bucket %d %g / %g", v.name, b, v.v1[b], v.v2[b])
+			}
+		}
+	}
+	return ""
+}
+
 // TestRunDifferential checks the stepping kernel against per-op stepping
 // with per-op tracker updates: at every cut of the retire stream the two
-// must agree on ops retired, cycles, and the raw BBV (pending ops
-// included) and MAV of the period. A fast-forward run must also leave the
-// caches, their statistics, the memory-access count, the branch predictor
-// and the pipeline exactly as they were.
+// must agree on ops retired, cycles, the architectural state (archDiff)
+// and the raw BBV (pending ops included) and MAV of the period, and at the
+// end on the data image. A fast-forward run must also leave the caches,
+// their statistics, the memory-access count, the branch predictor and the
+// pipeline exactly as they were.
 func TestRunDifferential(t *testing.T) {
 	hash := bbv.MustNewHash(bbv.DefaultHashBits, 42)
 	mavHash := bbv.MustNewMAVHash(bbv.DefaultMAVBits, 42)
@@ -73,43 +139,25 @@ func TestRunDifferential(t *testing.T) {
 				mav1, mav2 := bbv.NewMAVTracker(mavHash), bbv.NewMAVTracker(mavHash)
 				for i := 0; !c2.M.Halted(); i++ {
 					n := cuts[i%len(cuts)]
-					var want uint64
-					var r Retired
-					for want < n && md.step(c1, &r) {
-						want++
-						tr1.RetireOps(1)
-						if r.Taken {
-							tr1.TakenBranch(r.Addr)
-						}
-						if r.Op.IsMem() {
-							mav1.Access(r.MemAddr)
-						}
-					}
+					want := perOpRun(c1, n, md.step, tr1, mav1)
 					if got := c2.Run(n, md.mode, tr2, mav2); got != want {
 						t.Fatalf("cut %d: Run retired %d of %d, per-op %d", i, got, n, want)
 					}
 					if c1.T.Cycle() != c2.T.Cycle() {
 						t.Fatalf("cut %d: cycles per-op %d, Run %d", i, c1.T.Cycle(), c2.T.Cycle())
 					}
+					if d := archDiff(c1.M, c2.M); d != "" {
+						t.Fatalf("cut %d: per-op / Run %s", i, d)
+					}
 					if md.mode == FastForward && !reflect.DeepEqual(snapshotMicro(c2), micro) {
 						t.Fatalf("cut %d: fast-forward changed the microarchitectural state", i)
 					}
-					// Flush pending ops into a register so they are compared too.
-					tr1.TakenBranch(0)
-					tr2.TakenBranch(0)
-					for name, v := range map[string][2]bbv.Vector{
-						"BBV": {tr1.TakeRaw(), tr2.TakeRaw()},
-						"MAV": {mav1.TakeRaw(), mav2.TakeRaw()},
-					} {
-						for b := range v[0] {
-							if v[0][b] != v[1][b] {
-								t.Fatalf("cut %d: %s bucket %d per-op %g, Run %g", i, name, b, v[0][b], v[1][b])
-							}
-						}
+					if d := periodDiff(tr1, tr2, mav1, mav2); d != "" {
+						t.Fatalf("cut %d: per-op / Run %s", i, d)
 					}
 				}
-				if c1.M.Retired() != c2.M.Retired() || fmt.Sprint(c1.M.Err()) != fmt.Sprint(c2.M.Err()) {
-					t.Fatalf("end: retired %d/%d, err %v/%v", c1.M.Retired(), c2.M.Retired(), c1.M.Err(), c2.M.Err())
+				if !slices.Equal(c1.M.data, c2.M.data) {
+					t.Fatal("end: per-op and Run data images differ")
 				}
 				if !reflect.DeepEqual(snapshotMicro(c1), snapshotMicro(c2)) {
 					t.Fatal("end: per-op and Run cores differ in microarchitectural state")

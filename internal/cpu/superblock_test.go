@@ -247,7 +247,7 @@ func TestStepBlockResume(t *testing.T) {
 	}
 }
 
-// TestCoreStepBlockModes spot-checks the three Core batch modes against
+// TestCoreStepBlockModes spot-checks the two Core batch modes against
 // their per-op counterparts: identical retire streams, cycle counts and
 // microarchitectural snapshots.
 func TestCoreStepBlockModes(t *testing.T) {
@@ -265,7 +265,6 @@ func TestCoreStepBlockModes(t *testing.T) {
 	}{
 		"detailed": {(*Core).StepDetailed, (*Core).StepDetailedBlock},
 		"warm":     {(*Core).StepWarm, (*Core).StepWarmBlock},
-		"ff":       {(*Core).StepFF, (*Core).StepFFBlock},
 	}
 	for name, mode := range modes {
 		t.Run(name, func(t *testing.T) {

@@ -225,6 +225,61 @@ func checkLiveLayouts(t *testing.T, src *LiveSource, cfg core.Config, layouts []
 	}
 }
 
+// TestLiveLibraryShorterThanProgram: a library recorded to a third of its
+// program, as the suite's libraries stop at the build target while their
+// programs run on, must give the run of a library that covers the program.
+// Past its last checkpoint every shard fast-forwards from that checkpoint
+// and every sample warms forward from it.
+func TestLiveLibraryShorterThanProgram(t *testing.T) {
+	const stride = 20_000
+	full := liveSource(t, "197.parser", 600_000, stride)
+	rec, err := cpu.NewCore(cpu.MustNewMachine(full.prog), cpu.DefaultCoreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := checkpoint.Record(rec, stride, full.total/3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := NewLiveSource(lib, full.hash, full.prog, full.cc, full.total, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := lib.Nearest(full.total).Ops
+	if last > full.total/3 {
+		t.Fatalf("short library's last checkpoint at %d, past a third of %d ops", last, full.total)
+	}
+	for _, ff := range liveFFOps {
+		cfg := testConfig()
+		cfg.FFOps = ff
+		cfg.SpreadOps = ff
+		cfg.Trace = true
+		for _, opts := range []Options{
+			{Shards: 1, SampleWorkers: 1},
+			{Shards: 2, SampleWorkers: 2},
+			{Shards: 3, SampleWorkers: 2},
+		} {
+			want, wantSt, err := Run(context.Background(), full, cfg, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.ContainsFunc(wantSt.SampleTrace, func(e core.SampleEvent) bool { return e.Pos > last+ff }) {
+				t.Fatalf("FFOps %d: no sample past the short library's last checkpoint — the test would be vacuous", ff)
+			}
+			got, gotSt, err := Run(context.Background(), short, cfg, opts)
+			if err != nil {
+				t.Fatalf("FFOps %d, %+v, short library: %v", ff, opts, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("FFOps %d, %+v: Result diverged:\n got %+v\nwant %+v", ff, opts, got, want)
+			}
+			if !reflect.DeepEqual(gotSt, wantSt) {
+				t.Errorf("FFOps %d, %+v: Stats diverged:\n got %+v\nwant %+v", ff, opts, gotSt, wantSt)
+			}
+		}
+	}
+}
+
 // TestLiveRunLeavesLibraryUnchanged: a loaded library's pages, cache
 // arrays and predictor arrays alias the file's bytes, and every shard and
 // sample worker restores from them. A live run must leave all of them
