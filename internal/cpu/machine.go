@@ -9,11 +9,15 @@
 // PageWords-word pages: a snapshot copies only the pages stored to and
 // changed since the machine's previous snapshot or restore, and shares the
 // rest with it; a restore copies only the pages that differ from what the
-// machine holds. The timing model (Timing) consumes the retire stream and
-// owns all microarchitectural state. Core combines them and exposes the
-// three execution modes every sampled-simulation technique is built from:
-// plain fast-forward, functional warming, and detailed simulation (the
-// values of Mode, which the stepping kernel Core.Run takes).
+// machine holds. Machine.Step is the per-op reference. Two batched loops
+// retire whole straight-line runs at a time (superblock.go): StepBlock
+// writes a retire record per op, and plain fast-forward's loop writes none
+// and feeds the BBV and MAV trackers directly. The timing model (Timing)
+// consumes the retire stream and owns all microarchitectural state. Core
+// combines them and exposes the three execution modes every
+// sampled-simulation technique is built from: plain fast-forward,
+// functional warming, and detailed simulation (the values of Mode, which
+// the stepping kernel Core.Run takes).
 package cpu
 
 import (

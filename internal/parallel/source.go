@@ -208,8 +208,9 @@ func (s *LiveSource) TrueIPC() float64 { return s.trueIPC }
 // which replaces the core's architectural state, then fast-forward — and
 // fast-forwards through the chunk's windows with the BBV and MAV trackers
 // attached. Both vectors depend only on the architectural retire stream,
-// so no cache or predictor is restored or warmed. The core goes back on the idle list when the chunk
-// is done; a call that fails or panics drops it.
+// so no cache or predictor is restored or warmed, and the core steps
+// through the interpreter's record-free loop. The core goes back on the
+// idle list when the chunk is done; a call that fails or panics drops it.
 func (s *LiveSource) Windows(ctx context.Context, ffOps uint64, first int, out []Window) error {
 	c, err := s.shardCore()
 	if err != nil {
