@@ -132,9 +132,10 @@ fuzz-smoke:
 	$(GO) test ./internal/sampling -run '^$$' -fuzz '^FuzzTwoPhaseConfig$$' -fuzztime $(FUZZTIME)
 
 # Differential validation: 200 generated cases through oracle, serial,
-# parallel (all layouts) and periodic live runs, all invariants checked.
+# parallel (all layouts) and live runs on every PGSS case, all invariants
+# checked. CI runs the same command.
 validate:
-	$(GO) run ./cmd/pgss-validate -cases 200 -seed 1
+	$(GO) run ./cmd/pgss-validate -cases 200 -seed 1 -live-every 1
 
 # Chaos harness smoke: seeded campaigns under injected faults (torn journal
 # writes, dropped fsyncs, worker panics/stalls, power loss) must degrade

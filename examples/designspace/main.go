@@ -1,9 +1,9 @@
 // Designspace: the workload the paper's introduction motivates — design
 // space exploration. We sweep the L2 cache size, estimating each design's
 // IPC with PGSS-Sim *live* (driving the simulator, no prerecorded profile)
-// and validating against full detailed simulation. The point: PGSS ranks
-// the designs identically while simulating only a fraction of the ops in
-// detail.
+// on the sharded engine over a checkpoint every FF period, and validating
+// against full detailed simulation. The point: PGSS ranks the designs
+// identically while simulating only a fraction of the ops in detail.
 package main
 
 import (
@@ -25,6 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 	ctx := context.Background()
+	cfg := pgss.DefaultPGSSConfig(pgss.DefaultScale)
 
 	l2Sizes := []int{256 << 10, 512 << 10, 1 << 20, 2 << 20}
 	fmt.Printf("L2 design sweep on %s (%d ops per design)\n\n", spec.Name, *ops)
@@ -49,18 +50,23 @@ func main() {
 		}
 		fullTime := time.Since(t0)
 
-		// PGSS live: a fresh simulation driven by the PGSS controller —
-		// mostly functional warming, detailed only where phases demand it.
+		// PGSS live: one checkpoint pass, then fresh simulations from those
+		// checkpoints, detailed only where phases demand it. The truth run
+		// above supplies only the program length and the reference IPC.
 		prog, err := spec.Build(*ops)
 		if err != nil {
 			log.Fatal(err)
 		}
-		target, err := pgss.NewLiveTarget(prog, cc, prof.TrueIPC())
+		t0 = time.Now()
+		lib, err := pgss.RecordCheckpoints(prog, cc, cfg.FFOps)
 		if err != nil {
 			log.Fatal(err)
 		}
-		t0 = time.Now()
-		res, _, err := pgss.RunPGSS(ctx, target, pgss.DefaultPGSSConfig(pgss.DefaultScale))
+		src, err := pgss.NewLiveSource(lib, prog, cc, prof.TotalOps, prof.TrueIPC())
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, _, err := pgss.RunPGSSParallel(ctx, src, cfg, pgss.ParallelOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -225,9 +225,6 @@ func newCounters(h *Hash) counters {
 	return counters{hash: h, regs: make([]float64, h.Buckets())}
 }
 
-// Hash returns the tracker's hash.
-func (c *counters) Hash() *Hash { return c.hash }
-
 // TakeRaw compiles the registers into an unnormalised Vector (component i
 // holds the count charged to register i this period) and clears them for
 // the next sampling period. Raw vectors are additive: the sum of the raw

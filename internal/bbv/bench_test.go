@@ -43,8 +43,9 @@ func BenchmarkTakeVector(b *testing.B) {
 // BenchmarkTakeVectorInto measures the allocation-free readout used by the
 // hot replay and shard loops.
 func BenchmarkTakeVectorInto(b *testing.B) {
-	tr := NewTracker(MustNewHash(DefaultHashBits, 42))
-	dst := make(Vector, tr.Hash().Buckets())
+	h := MustNewHash(DefaultHashBits, 42)
+	tr := NewTracker(h)
+	dst := make(Vector, h.Buckets())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

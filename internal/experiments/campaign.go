@@ -95,7 +95,7 @@ func runLive(ctx context.Context, s *Suite, p *profile.Profile, _ int64) (sampli
 	if err != nil {
 		return sampling.Result{}, err
 	}
-	src, err := parallel.NewLiveSource(lib, s.hash, prog, cpu.DefaultCoreConfig(), p.TotalOps, p.TrueIPC())
+	src, err := parallel.NewLiveSource(lib, s.hash, nil, prog, cpu.DefaultCoreConfig(), p.TotalOps, p.TrueIPC())
 	if err != nil {
 		return sampling.Result{}, err
 	}

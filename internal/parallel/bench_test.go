@@ -97,7 +97,7 @@ func BenchmarkLiveSourceWindows(b *testing.B) {
 		ffOps = 100_000
 		first = 3 // between checkpoints, so the shard seeks 3 windows
 	)
-	src := liveSource(b, "188.ammp", 2_000_000, 4*ffOps)
+	src := liveSource(b, "188.ammp", 2_000_000, 4*ffOps, nil)
 	out := make([]Window, 15)
 	stepped := (first+uint64(len(out)))*ffOps - src.lib.Nearest(first*ffOps).Ops
 	b.ReportAllocs()

@@ -129,7 +129,9 @@ func TestParallelDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func liveSource(t testing.TB, name string, ops, stride uint64) *LiveSource {
+// liveSource records a library at the given stride over the named program
+// and builds a live source over it; mavHash nil leaves the MAV channel off.
+func liveSource(t testing.TB, name string, ops, stride uint64, mavHash *bbv.Hash) *LiveSource {
 	t.Helper()
 	spec, err := workload.Get(name)
 	if err != nil {
@@ -147,7 +149,7 @@ func liveSource(t testing.TB, name string, ops, stride uint64) *LiveSource {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewLiveSource(lib, bbv.MustNewHash(5, 42), prog, cpu.DefaultCoreConfig(), rec.M.Retired(), 0)
+	src, err := NewLiveSource(lib, bbv.MustNewHash(5, 42), mavHash, prog, cpu.DefaultCoreConfig(), rec.M.Retired(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func liveSource(t testing.TB, name string, ops, stride uint64) *LiveSource {
 // TestNewLiveSourceRejects: every malformed input is an invalid-config
 // error at construction, before any shard starts.
 func TestNewLiveSourceRejects(t *testing.T) {
-	src := liveSource(t, "197.parser", 100_000, 50_000)
+	src := liveSource(t, "197.parser", 100_000, 50_000, nil)
 	cases := []struct {
 		name     string
 		lib      *checkpoint.Library
@@ -170,7 +172,7 @@ func TestNewLiveSourceRejects(t *testing.T) {
 		{"invalid program", src.lib, &program.Program{Name: "empty"}, src.total},
 	}
 	for _, c := range cases {
-		_, err := NewLiveSource(c.lib, src.hash, c.prog, src.cc, c.totalOps, 0)
+		_, err := NewLiveSource(c.lib, src.hash, nil, c.prog, src.cc, c.totalOps, 0)
 		if !errors.Is(err, pgsserrors.ErrInvalidConfig) {
 			t.Errorf("%s: got %v, want ErrInvalidConfig", c.name, err)
 		}
@@ -187,7 +189,7 @@ var liveFFOps = []uint64{20_000, 5_000, 7_000}
 // same result whatever the shard count and worker count — the engine-level
 // determinism guarantee for live sources.
 func TestLiveShardLayoutInvariant(t *testing.T) {
-	src := liveSource(t, "197.parser", 600_000, 50_000)
+	src := liveSource(t, "197.parser", 600_000, 50_000, nil)
 	for _, ff := range liveFFOps {
 		cfg := testConfig()
 		cfg.FFOps = ff
@@ -232,7 +234,7 @@ func checkLiveLayouts(t *testing.T, src *LiveSource, cfg core.Config, layouts []
 // and every sample warms forward from it.
 func TestLiveLibraryShorterThanProgram(t *testing.T) {
 	const stride = 20_000
-	full := liveSource(t, "197.parser", 600_000, stride)
+	full := liveSource(t, "197.parser", 600_000, stride, nil)
 	rec, err := cpu.NewCore(cpu.MustNewMachine(full.prog), cpu.DefaultCoreConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +243,7 @@ func TestLiveLibraryShorterThanProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, err := NewLiveSource(lib, full.hash, full.prog, full.cc, full.total, 0)
+	short, err := NewLiveSource(lib, full.hash, nil, full.prog, full.cc, full.total, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +287,7 @@ func TestLiveLibraryShorterThanProgram(t *testing.T) {
 // sample worker restores from them. A live run must leave all of them
 // exactly as loaded.
 func TestLiveRunLeavesLibraryUnchanged(t *testing.T) {
-	src := liveSource(t, "197.parser", 600_000, 20_000)
+	src := liveSource(t, "197.parser", 600_000, 20_000, nil)
 	path := filepath.Join(t.TempDir(), "lib.ckpt")
 	if err := src.lib.Save(nil, path); err != nil {
 		t.Fatal(err)
@@ -478,8 +480,7 @@ func TestChannelParallelMatchesSerial(t *testing.T) {
 // state, so the windows are layout-invariant by construction; this pins the
 // wiring.
 func TestLiveChannelShardInvariant(t *testing.T) {
-	src := liveSource(t, "197.parser", 600_000, 50_000)
-	src.EnableMAV(bbv.MustNewMAVHash(bbv.DefaultMAVBits, 42))
+	src := liveSource(t, "197.parser", 600_000, 50_000, bbv.MustNewMAVHash(bbv.DefaultMAVBits, 42))
 	for _, ff := range liveFFOps {
 		cfg := testConfig()
 		cfg.FFOps = ff
@@ -490,6 +491,69 @@ func TestLiveChannelShardInvariant(t *testing.T) {
 			{Shards: 4, SampleWorkers: 4},
 			{Shards: 3, SampleWorkers: 2},
 			{Shards: 7, SampleWorkers: 3},
+		})
+	}
+}
+
+// TestLiveMatchesReplay pins the live engine to replay: on every suite
+// program, PGSS over a LiveSource returns exactly the Result and Stats,
+// sample trace included, of the serial controller over the program's
+// recorded profile, on every signature channel. The library's stride is two
+// FF periods, so the samples of odd windows warm forward from the
+// checkpoint below them.
+func TestLiveMatchesReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("records a profile and a checkpoint library of every suite program")
+	}
+	const ops = 2_000_000
+	base := core.DefaultConfig(10)
+	base.Trace = true
+	for _, name := range workload.Names() {
+		t.Run(name, func(t *testing.T) {
+			p := suiteProfile(t, name, ops)
+			spec, err := workload.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := spec.Build(ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := cpu.NewCore(cpu.MustNewMachine(prog), cpu.DefaultCoreConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			lib, err := checkpoint.Record(rec, 2*base.FFOps, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := NewLiveSource(lib, bbv.MustNewHash(bbv.DefaultHashBits, 42),
+				bbv.MustNewMAVHash(bbv.DefaultMAVBits, profile.DefaultMAVSeed),
+				prog, cpu.DefaultCoreConfig(), p.TotalOps, p.TrueIPC())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ch := range []bbv.Channel{bbv.ChannelBBV, bbv.ChannelMAV, bbv.ChannelBoth} {
+				cfg := base
+				cfg.Channel = ch
+				want, wantSt, err := core.RunContext(context.Background(), sampling.NewProfileTarget(p), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want.Samples == 0 {
+					t.Fatalf("%v: replay took no samples — the test would be vacuous", ch)
+				}
+				got, gotSt, err := Run(context.Background(), src, cfg, Options{Shards: 2, SampleWorkers: 2})
+				if err != nil {
+					t.Fatalf("%v: %v", ch, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%v: live Result diverged from replay:\n got %+v\nwant %+v", ch, got, want)
+				}
+				if !reflect.DeepEqual(gotSt, wantSt) {
+					t.Errorf("%v: live Stats diverged from replay:\n got %+v\nwant %+v", ch, gotSt, wantSt)
+				}
+			}
 		})
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"pgss/internal/bbv"
-	"pgss/internal/cpu"
 	"pgss/internal/profile"
-	"pgss/internal/workload"
 )
 
 // benchProfile builds a structurally valid synthetic profile for replay
@@ -49,33 +47,6 @@ func BenchmarkProfileTargetNextWindow(b *testing.B) {
 				b.Fatal(t.Err())
 			}
 			t.Reset()
-		}
-	}
-}
-
-// BenchmarkLiveTargetNextWindow measures the live simulation window loop;
-// the window's BBV/MAV come from tracker scratch (TakeVectorInto), so the
-// steady-state loop should not allocate per window.
-func BenchmarkLiveTargetNextWindow(b *testing.B) {
-	spec, err := workload.Get("197.parser")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := spec.Build(100_000_000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := cpu.NewCore(cpu.MustNewMachine(prog), cpu.DefaultCoreConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	lt := NewLiveTarget(c, bbv.MustNewHash(5, 42), 0, 0)
-	lt.EnableMAV(bbv.MustNewMAVHash(5, 42))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := lt.NextWindow(10_000, 1000, 1000); !ok {
-			b.Fatal("live target exhausted; raise the program length")
 		}
 	}
 }

@@ -1,16 +1,19 @@
 // Package sampling contains the sampled-simulation machinery shared by all
 // techniques — execution-mode cost accounting, result types, and the
-// Target abstraction a sequential controller drives — plus the four
-// baseline techniques the paper compares PGSS-Sim against: full detailed
+// Target abstraction a sequential controller drives — plus the baseline
+// techniques the paper compares PGSS-Sim against: full detailed
 // simulation, SMARTS, TurboSMARTS, offline SimPoint and online SimPoint.
 //
 // A sequential controller (SMARTS, PGSS) sees execution as a series of
 // windows: each window optionally starts with a detailed warm-up and a
 // detailed measured sample (the SMARTS 3k+1k structure), and the remainder
 // runs in functional-warming fast-forward while the BBV tracker
-// accumulates. Targets provide windows either live (driving the cycle-level
-// simulator) or by replaying a recorded profile; both yield the same BBVs,
-// and replayed sample IPCs correspond to perfectly warmed samples.
+// accumulates. Targets replay a recorded profile (ProfileTarget): a
+// window's BBV sums the recorded intervals, whose tracker carried pending
+// (post-last-branch) ops across every boundary, and a sample's IPC is that
+// of a perfectly warmed sample. Live simulation runs on the sharded engine
+// instead (parallel.LiveSource), whose windows drop pending ops at each
+// boundary.
 package sampling
 
 import (
@@ -19,7 +22,6 @@ import (
 	"math"
 
 	"pgss/internal/bbv"
-	"pgss/internal/cpu"
 	"pgss/internal/pgsserrors"
 	"pgss/internal/profile"
 )
@@ -127,9 +129,6 @@ type Window struct {
 type Target interface {
 	// Benchmark returns the workload name.
 	Benchmark() string
-	// TotalOps returns the full run length (known for profiles; live
-	// targets report the recorded/declared length).
-	TotalOps() uint64
 	// TrueIPC returns the whole-program IPC for error reporting.
 	TrueIPC() float64
 	// Pos returns ops completed so far.
@@ -172,7 +171,7 @@ func NewProfileTarget(p *profile.Profile) *ProfileTarget {
 // Benchmark implements Target.
 func (t *ProfileTarget) Benchmark() string { return t.p.Benchmark }
 
-// TotalOps implements Target.
+// TotalOps returns the profile's run length.
 func (t *ProfileTarget) TotalOps() uint64 { return t.p.TotalOps }
 
 // TrueIPC implements Target.
@@ -247,90 +246,5 @@ func (t *ProfileTarget) NextWindow(ops, warm, sample uint64) (Window, bool) {
 		}
 	}
 	t.pos += w.Ops
-	return w, true
-}
-
-// LiveTarget drives the cycle-level simulator directly; it exists to
-// demonstrate (and test) that the controllers are independent of the
-// replay mechanism.
-type LiveTarget struct {
-	core    *cpu.Core
-	tracker *bbv.Tracker
-	mav     *bbv.MAVTracker // nil = MAV channel off
-	total   uint64          // declared length; 0 = run to halt (TotalOps unknown)
-	trueIPC float64
-	pos     uint64
-	// scratch/mavScratch back the returned Window's BBV/MAV (owned by the
-	// target, valid until the next NextWindow call), like ProfileTarget.
-	scratch    bbv.Vector
-	mavScratch bbv.Vector
-}
-
-// NewLiveTarget wraps a core. totalOps may be 0 when unknown; trueIPC may
-// be 0 when unknown (error reporting then needs an external truth).
-func NewLiveTarget(core *cpu.Core, hash *bbv.Hash, totalOps uint64, trueIPC float64) *LiveTarget {
-	return &LiveTarget{
-		core:    core,
-		tracker: bbv.NewTracker(hash),
-		total:   totalOps,
-		trueIPC: trueIPC,
-	}
-}
-
-// EnableMAV attaches a memory-access-vector tracker over the given hash
-// (from bbv.NewMAVHash), so subsequent windows carry a MAV alongside the
-// BBV.
-func (t *LiveTarget) EnableMAV(h *bbv.Hash) { t.mav = bbv.NewMAVTracker(h) }
-
-// Benchmark implements Target.
-func (t *LiveTarget) Benchmark() string { return t.core.M.Program().Name }
-
-// TotalOps implements Target.
-func (t *LiveTarget) TotalOps() uint64 { return t.total }
-
-// TrueIPC implements Target.
-func (t *LiveTarget) TrueIPC() float64 { return t.trueIPC }
-
-// Pos implements Target.
-func (t *LiveTarget) Pos() uint64 { return t.pos }
-
-// Err implements Target: a live target ends on machine halt, which is
-// abnormal only when the machine itself reports an error.
-func (t *LiveTarget) Err() error { return t.core.M.Err() }
-
-// NextWindow implements Target. Each segment (detailed warm-up, measured
-// sample, functional-warming remainder) runs through the core's stepping
-// kernel with both trackers attached.
-func (t *LiveTarget) NextWindow(ops, warm, sample uint64) (Window, bool) {
-	if t.core.M.Halted() {
-		return Window{}, false
-	}
-	w := Window{SampleIPC: math.NaN()}
-	if sample > 0 && warm+sample <= ops {
-		w.WarmOps = t.core.Run(warm, cpu.Detailed, t.tracker, t.mav)
-		start := t.core.T.Cycle()
-		w.SampleOps = t.core.Run(sample, cpu.Detailed, t.tracker, t.mav)
-		cycles := t.core.T.Cycle() - start
-		if cycles > 0 && w.SampleOps > 0 {
-			w.SampleIPC = float64(w.SampleOps) / float64(cycles)
-		}
-	}
-	done := w.WarmOps + w.SampleOps
-	done += t.core.Run(ops-done, cpu.FunctionalWarming, t.tracker, t.mav)
-	t.pos += done
-	w.Ops = done
-	if t.scratch == nil {
-		t.scratch = make(bbv.Vector, t.tracker.Hash().Buckets())
-	}
-	w.BBV = t.tracker.TakeVectorInto(t.scratch)
-	if t.mav != nil {
-		if t.mavScratch == nil {
-			t.mavScratch = make(bbv.Vector, t.mav.Hash().Buckets())
-		}
-		w.MAV = t.mav.TakeVectorInto(t.mavScratch)
-	}
-	if done == 0 {
-		return Window{}, false
-	}
 	return w, true
 }

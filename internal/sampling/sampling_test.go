@@ -320,82 +320,6 @@ func TestOnlineSimPoint(t *testing.T) {
 	}
 }
 
-func TestLiveTargetRunsControllers(t *testing.T) {
-	spec, err := workload.Get("177.mesa")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := spec.Build(1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	core, err := cpu.NewCore(cpu.MustNewMachine(prog), cpu.DefaultCoreConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lt := NewLiveTarget(core, bbv.MustNewHash(5, 42), 0, 0)
-	var ops uint64
-	for {
-		w, ok := lt.NextWindow(50_000, 3000, 1000)
-		if !ok {
-			break
-		}
-		ops += w.Ops
-	}
-	if ops < 1_000_000 {
-		t.Errorf("live target covered only %d ops", ops)
-	}
-}
-
-// Live SMARTS and replayed SMARTS must agree closely: the replay is a
-// perfectly-warmed approximation of the live run.
-func TestLiveVsReplaySMARTS(t *testing.T) {
-	spec, err := workload.Get("197.parser")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const ops = 3_000_000
-	prog, err := spec.Build(ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := cpu.NewCore(cpu.MustNewMachine(prog), cpu.DefaultCoreConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hash := bbv.MustNewHash(5, 42)
-	p, err := profile.RecordContext(context.Background(), rec, hash, profile.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultSMARTSConfig(10)
-	replay, err := SMARTS(NewProfileTarget(p), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	prog2, err := spec.Build(ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveCore, err := cpu.NewCore(cpu.MustNewMachine(prog2), cpu.DefaultCoreConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := SMARTS(NewLiveTarget(liveCore, hash, p.TotalOps, p.TrueIPC()), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live.Samples == 0 {
-		t.Fatal("live SMARTS took no samples")
-	}
-	rel := math.Abs(live.EstimatedIPC-replay.EstimatedIPC) / replay.EstimatedIPC
-	if rel > 0.05 {
-		t.Errorf("live %.4f vs replay %.4f estimates diverge %.1f%%",
-			live.EstimatedIPC, replay.EstimatedIPC, rel*100)
-	}
-}
-
 func TestCostsArithmetic(t *testing.T) {
 	c := Costs{Detailed: 1, DetailedWarm: 2, FunctionalWarm: 3, PlainFF: 4}
 	if c.DetailedTotal() != 3 || c.Total() != 10 {

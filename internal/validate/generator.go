@@ -7,10 +7,11 @@
 //
 //   - Hard invariants, which must hold exactly: the parallel engine's
 //     Result and Stats are reflect.DeepEqual to the serial controller's for
-//     every shard layout; live runs are invariant to the shard layout; runs
-//     are deterministic under their seed; every simulated op is accounted
-//     in exactly one cost bucket; detailed costs tie out against the sample
-//     count; the spread rule and per-phase ledgers are self-consistent.
+//     every shard layout; live runs are invariant to the shard layout, and
+//     their estimate lies within 1% of replay; runs are deterministic under
+//     their seed; every simulated op is accounted in exactly one cost
+//     bucket; detailed costs tie out against the sample count; the spread
+//     rule and per-phase ledgers are self-consistent.
 //
 //   - Statistical invariants, which must hold on aggregate: the PGSS IPC
 //     estimate tracks the oracle's whole-program IPC within the configured

@@ -50,7 +50,6 @@ var goldenDigests = map[string]map[string]string{
 		"run/guard-trace":       "5924530cbd1b261ddd6e97ab873256e1f44c1459d33d9a97134c32383b0a1358",
 		"adaptive/default":      "94ad212b644dd6b0f2c332c5c3839ac37a0156645c1b2803f9be1906cd798590",
 		"adaptive/restart":      "41a63a48269ba7c9a50bf63d646e95e96db3c586fe76f02de80bbaf6c0153489",
-		"live/mav":              "156a7b3819772b8fd296b2a942326f9485d7297e26a8a343403b1a12735a22c3",
 		"parallel/live":         "156a7b3819772b8fd296b2a942326f9485d7297e26a8a343403b1a12735a22c3",
 		"phasetraces":           "4e70d65a939d3f15d90c04449e15cb56d9e45eb3afa12fa8e34990155520326f",
 		"replay/SMARTS":         "45e7ac59b6f1d836c62acc8d9f3959379eeea63c4f6d5f84ae1a8c85e861a82f",
@@ -72,7 +71,6 @@ var goldenDigests = map[string]map[string]string{
 		"run/guard-trace":       "4663a5b55fc82b7f136055f978dda2a9c9274d139010feeb66c8ee93d2669217",
 		"adaptive/default":      "30a74e57023b8a6d03e740b060f7ccc80602cd38c2817d069a5186eed46284ff",
 		"adaptive/restart":      "2f13e810a1776a3e08320491d4123b7ce24b5aab8d3edab4729103f06c7b15bb",
-		"live/mav":              "e469d4b3839050b43b4d6727e7250b20f13800599924040be3789aba0f28d9eb",
 		"parallel/live":         "e469d4b3839050b43b4d6727e7250b20f13800599924040be3789aba0f28d9eb",
 		"phasetraces":           "44fed2070332b78a5a355a1fe3eb64bf2a2d109ffee66a27fa45c48652b143b9",
 		"replay/SMARTS":         "ca27ec4c36cd1d0963bd6515c5427dc78304b12e5197467eade4a5c2dbf77b2b",
@@ -94,7 +92,6 @@ var goldenDigests = map[string]map[string]string{
 		"run/guard-trace":       "3bce383b9a43c90957f1a3c5ab562c8d4464b4db46a369cad567b205ba456e35",
 		"adaptive/default":      "038090c3ae0f259f290162a234aa5a26a082faeca738d6709b43c5f01d329619",
 		"adaptive/restart":      "a4c60989195a923e551ce966e28ce82d5c6006d21a196abaaf60e5edacf500ec",
-		"live/mav":              "89f8ca58dde3f619cf7676630cf6128d7096d629a250b7d414d0db897878c10b",
 		"parallel/live":         "89f8ca58dde3f619cf7676630cf6128d7096d629a250b7d414d0db897878c10b",
 		"phasetraces":           "c88b22df44e3a5ee3eaf75f2473f16ef8ecddf1204a7f845e206004ff1c07f08",
 		"replay/SMARTS":         "5c6c463c571665152e018375ee5feb64b4ccab4171fabc66ab41da87b242271e",
@@ -131,7 +128,7 @@ var goldenPaths = []string{
 	"profile", "profile/windows", "checkpoints", "checkpoints/state",
 	"run/default", "run/guard-trace",
 	"adaptive/default", "adaptive/restart",
-	"live/mav", "parallel/live", "phasetraces",
+	"parallel/live", "phasetraces",
 	"replay/SMARTS", "replay/TurboSMARTS", "replay/Stratified",
 	"replay/2PSS", "replay/2PSS/mav", "replay/RSS", "replay/RSS/mav",
 	"replay/SimPoint", "replay/OnlineSimPoint",
@@ -346,16 +343,10 @@ func engineDigests(t *testing.T, name string) map[string]string {
 
 	both := cfg
 	both.Channel = bbv.ChannelBoth
-	live := sampling.NewLiveTarget(newGoldenCore(t, prog), hash, 0, p.TrueIPC())
-	live.EnableMAV(mavHash)
-	res, st, err = core.RunContext(ctx, live, both)
-	check("live/mav", digestOf(res, st), err)
-
-	src, err := parallel.NewLiveSource(lib, hash, prog, cpu.DefaultCoreConfig(), p.TotalOps, p.TrueIPC())
+	src, err := parallel.NewLiveSource(lib, hash, mavHash, prog, cpu.DefaultCoreConfig(), p.TotalOps, p.TrueIPC())
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.EnableMAV(mavHash)
 	res, st, err = parallel.Run(ctx, src, both, parallel.Options{Shards: 2, SampleWorkers: 2})
 	check("parallel/live", digestOf(res, st), err)
 

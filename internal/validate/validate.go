@@ -41,10 +41,10 @@ type Options struct {
 	// Layouts are the parallel shard layouts to check (default
 	// DefaultLayouts; at least one is required).
 	Layouts []parallel.Options
-	// LiveEvery runs the live-source (checkpoint-restored) layout
-	// invariance check on every n-th case (0 disables, 1 = every case).
-	// Live checks re-simulate the program several times and dominate a
-	// case's cost.
+	// LiveEvery runs the live-source (checkpoint-restored) checks, against
+	// replay and across layouts, on every n-th case (0 disables, 1 = every
+	// case). Live checks re-simulate the program several times and
+	// dominate a case's cost.
 	LiveEvery int
 	// MaxMeanErrPct bounds the mean |IPC error| vs the oracle across all
 	// cases (the aggregate statistical invariant).
@@ -169,7 +169,7 @@ func RunCase(ctx context.Context, cs *Case, layouts []parallel.Options, live boo
 	}
 
 	if live {
-		if err := checkLive(ctx, &cr, prog, p, hash, cs.Config, layouts); err != nil {
+		if err := checkLive(ctx, &cr, prog, p, hash, cs.Config, layouts, serRes); err != nil {
 			return cr, err
 		}
 		cr.LiveChecked = true
@@ -240,10 +240,16 @@ func checkTechnique(cr *CaseResult, p *profile.Profile, cs *Case) {
 	}
 }
 
+// liveReplayTolerance bounds the relative gap between a case's 1x1 live
+// estimate and its serial replay estimate. Live samples start from
+// functionally warmed state; replayed ones read the oracle's cycles.
+const liveReplayTolerance = 0.01
+
 // checkLive records a checkpoint library over the case's program and
-// verifies the live engine's shard-layout invariance: the single-shard live
-// run is the reference for every other layout.
-func checkLive(ctx context.Context, cr *CaseResult, prog *program.Program, p *profile.Profile, hash *bbv.Hash, cfg core.Config, layouts []parallel.Options) error {
+// verifies the live engine: the single-shard live estimate must lie within
+// liveReplayTolerance of the serial replay estimate, and the single-shard
+// live run is the reference for every other shard layout.
+func checkLive(ctx context.Context, cr *CaseResult, prog *program.Program, p *profile.Profile, hash *bbv.Hash, cfg core.Config, layouts []parallel.Options, replay sampling.Result) error {
 	rec, err := buildCore(prog)
 	if err != nil {
 		return err
@@ -258,20 +264,24 @@ func checkLive(ctx context.Context, cr *CaseResult, prog *program.Program, p *pr
 		cr.violate("live-length", "checkpoint pass retired %d ops, oracle pass %d — the program is not deterministic", got, p.TotalOps)
 		return nil
 	}
-	src, err := parallel.NewLiveSource(lib, hash, prog, cpu.DefaultCoreConfig(), p.TotalOps, p.TrueIPC())
-	if err != nil {
-		return err
-	}
+	var mavHash *bbv.Hash
 	if cfg.Channel.NeedsMAV() {
-		mh, err := bbv.NewMAVHash(bbv.DefaultMAVBits, hashSeed)
-		if err != nil {
+		if mavHash, err = bbv.NewMAVHash(bbv.DefaultMAVBits, hashSeed); err != nil {
 			return err
 		}
-		src.EnableMAV(mh)
+	}
+	src, err := parallel.NewLiveSource(lib, hash, mavHash, prog, cpu.DefaultCoreConfig(), p.TotalOps, p.TrueIPC())
+	if err != nil {
+		return err
 	}
 	ref, refSt, err := parallel.Run(ctx, src, cfg, parallel.Options{Shards: 1, SampleWorkers: 1})
 	if err != nil {
 		return fmt.Errorf("validate: case %d: live reference: %w", cr.Seed, err)
+	}
+	// Written as !(gap <= bound) so that a NaN estimate fails too.
+	if gap := math.Abs(ref.EstimatedIPC-replay.EstimatedIPC) / replay.EstimatedIPC; !(gap <= liveReplayTolerance) {
+		cr.violate("live-replay", "live 1x1 estimate %.6f is %.3f%% from the replay estimate %.6f (bound %.0f%%)",
+			ref.EstimatedIPC, gap*100, replay.EstimatedIPC, liveReplayTolerance*100)
 	}
 	for _, opts := range layouts {
 		if opts.Shards == 1 && opts.SampleWorkers == 1 {

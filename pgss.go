@@ -19,9 +19,9 @@
 // # Engines
 //
 // Each PGSS engine has one context-first entry point. RunPGSS drives the
-// serial engine over a Target: a recorded profile (NewTarget) or a live
-// simulation (NewLiveTarget). RunPGSSParallel drives the sharded engine
-// over a Source: a profile (NewSource) or a checkpoint library
+// serial engine over a Target, a recorded profile (NewTarget).
+// RunPGSSParallel drives the sharded engine over a Source: a profile
+// (NewSource) or a live simulation through a checkpoint library
 // (NewLiveSource); its result is invariant to the concurrency setting.
 // RunAdaptivePGSS runs the runtime-adaptive variant on the serial engine.
 // Cancellation or deadline expiry stops any of them between windows with
@@ -183,19 +183,6 @@ func defaultMAVHash() *bbv.Hash { return bbv.MustNewMAVHash(bbv.DefaultMAVBits, 
 // controllers (PGSS, SMARTS, Full).
 func NewTarget(p *Profile) Target { return sampling.NewProfileTarget(p) }
 
-// NewLiveTarget drives a fresh simulation of the program directly instead
-// of replaying a profile; trueIPC may be zero when unknown. The target
-// tracks both signature channels, so any PGSSConfig.Channel works live.
-func NewLiveTarget(prog *Program, cc CoreConfig, trueIPC float64) (Target, error) {
-	c, err := newCore(prog, cc)
-	if err != nil {
-		return nil, err
-	}
-	t := sampling.NewLiveTarget(c, defaultHash(), 0, trueIPC)
-	t.EnableMAV(defaultMAVHash())
-	return t, nil
-}
-
 // DefaultPGSSConfig returns the paper's best overall PGSS configuration
 // (1M-op BBV period, .05π threshold) at the given scale.
 func DefaultPGSSConfig(scale uint64) PGSSConfig { return core.DefaultConfig(scale) }
@@ -227,14 +214,13 @@ func NewSource(p *Profile) Source { return parallel.NewProfileSource(p) }
 // from theirs (no distance at all when the library's stride divides the FF
 // period) and execute detailed simulation on a pool of cores. totalOps
 // is the recorded program length the library covers; trueIPC may be zero
-// when unknown. Like NewLiveTarget, the source tracks both signature
-// channels.
+// when unknown. The source tracks both signature channels, so any
+// PGSSConfig.Channel works live.
 func NewLiveSource(lib *CheckpointLibrary, prog *Program, cc CoreConfig, totalOps uint64, trueIPC float64) (Source, error) {
-	src, err := parallel.NewLiveSource(lib, defaultHash(), prog, cc, totalOps, trueIPC)
+	src, err := parallel.NewLiveSource(lib, defaultHash(), defaultMAVHash(), prog, cc, totalOps, trueIPC)
 	if err != nil {
 		return nil, err
 	}
-	src.EnableMAV(defaultMAVHash())
 	return src, nil
 }
 

@@ -85,32 +85,6 @@ func TestAllTechniquesThroughFacade(t *testing.T) {
 	}
 }
 
-func TestLiveTargetThroughFacade(t *testing.T) {
-	spec, err := pgss.Benchmark("177.mesa")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := spec.Build(3_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := record(t, "177.mesa", 3_000_000)
-	target, err := pgss.NewLiveTarget(prog, pgss.DefaultCoreConfig(), truth.TrueIPC())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := pgss.DefaultPGSSConfig(pgss.DefaultScale)
-	cfg.FFOps = 50_000
-	cfg.SpreadOps = 50_000
-	res, _, err := pgss.RunPGSS(context.Background(), target, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ErrorPct() > 10 {
-		t.Errorf("live PGSS error %.2f%%", res.ErrorPct())
-	}
-}
-
 func TestLiveParallelThroughFacade(t *testing.T) {
 	spec, err := pgss.Benchmark("197.parser")
 	if err != nil {
