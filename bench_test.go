@@ -20,9 +20,11 @@ import (
 	"pgss"
 	"pgss/internal/bbv"
 	"pgss/internal/cluster"
+	"pgss/internal/core"
 	"pgss/internal/cpu"
 	"pgss/internal/experiments"
 	"pgss/internal/faultinject"
+	"pgss/internal/sampling"
 	"pgss/internal/workload"
 )
 
@@ -263,7 +265,8 @@ func BenchmarkKMeans(b *testing.B) {
 	}
 }
 
-// BenchmarkPGSSReplay measures a full PGSS pass over a recorded profile.
+// BenchmarkPGSSReplay measures a full PGSS pass over a recorded profile on
+// the serial replay engine.
 func BenchmarkPGSSReplay(b *testing.B) {
 	s := benchSuite(b)
 	p, err := s.Profile("164.gzip")
@@ -273,7 +276,7 @@ func BenchmarkPGSSReplay(b *testing.B) {
 	cfg := pgss.DefaultPGSSConfig(pgss.DefaultScale)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := pgss.RunPGSS(context.Background(), pgss.NewTarget(p), cfg); err != nil {
+		if _, _, err := core.RunContext(context.Background(), sampling.NewProfileTarget(p), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -173,9 +173,7 @@ func record(name string, ops uint64) *profile.Profile {
 		prog.Name, len(prog.Code), len(prog.Data), float64(len(prog.Data))*8/1e6,
 		time.Since(start).Round(time.Millisecond))
 
-	m, err := cpu.NewMachine(prog)
-	check(err)
-	core, err := cpu.NewCore(m, cpu.DefaultCoreConfig())
+	core, err := cpu.NewProgramCore(prog, cpu.DefaultCoreConfig())
 	check(err)
 	hash, err := bbv.NewHash(bbv.DefaultHashBits, 42) // the suite-wide BBV hash seed
 	check(err)
@@ -188,7 +186,7 @@ func record(name string, ops uint64) *profile.Profile {
 	fmt.Printf("caches: L1I %.2f%% L1D %.2f%% L2 %.2f%% miss; branches %.2f%% mispredicted; wild=%d\n",
 		core.Hier.L1I.Stats().MissRate()*100, core.Hier.L1D.Stats().MissRate()*100,
 		core.Hier.L2.Stats().MissRate()*100, core.BP.Stats().MispredictRate()*100,
-		m.WildAccesses)
+		core.M.WildAccesses)
 	return p
 }
 

@@ -53,7 +53,7 @@ func main() {
 		check(err)
 		show(res)
 	case "smarts":
-		res, err := pgss.RunSMARTS(pgss.NewTarget(prof), pgss.DefaultSMARTSConfig(*scale))
+		res, err := pgss.RunSMARTS(prof, pgss.DefaultSMARTSConfig(*scale))
 		check(err)
 		show(res)
 	case "turbosmarts":
@@ -85,7 +85,7 @@ func main() {
 		}
 		cfg.Trace = *trace > 0
 		cfg.GuardTransitions = *guard
-		res, st, err := pgss.RunPGSS(ctx, pgss.NewTarget(prof), cfg)
+		res, st, err := pgss.RunPGSS(ctx, pgss.NewSource(prof), cfg, pgss.ParallelOptions{})
 		check(err)
 		show(res)
 		fmt.Printf("phases=%d transitions=%d taken=%d skipped=%d deferred=%d unsampled_ops=%d\n",
@@ -130,7 +130,7 @@ func main() {
 		show(res)
 	case "adaptive":
 		cfg := pgss.DefaultAdaptiveConfig(*scale)
-		res, ast, err := pgss.RunAdaptivePGSS(ctx, pgss.NewTarget(prof), cfg)
+		res, ast, err := pgss.RunAdaptivePGSS(ctx, prof, cfg)
 		check(err)
 		show(res)
 		fmt.Printf("final parameters: FF=%d ops, threshold .%03dπ (%d restarts)\n",

@@ -23,7 +23,8 @@ func ExampleRunPGSS() {
 		fmt.Println(err)
 		return
 	}
-	res, st, err := pgss.RunPGSS(ctx, pgss.NewTarget(prof), pgss.DefaultPGSSConfig(pgss.DefaultScale))
+	res, st, err := pgss.RunPGSS(ctx, pgss.NewSource(prof),
+		pgss.DefaultPGSSConfig(pgss.DefaultScale), pgss.ParallelOptions{})
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -37,10 +38,10 @@ func ExampleRunPGSS() {
 	// sampled a fraction of the run: true
 }
 
-// ExampleRunPGSSParallel shows the checkpoint-sharded parallel engine and
-// its core guarantee: for any shard/worker layout the Result is
-// bit-identical to the serial engine's.
-func ExampleRunPGSSParallel() {
+// ExampleRunPGSS_layouts shows the checkpoint-sharded engine's core
+// guarantee: the Result and statistics are bit-identical for every
+// shard/worker layout.
+func ExampleRunPGSS_layouts() {
 	ctx := context.Background()
 	spec, err := pgss.Benchmark("164.gzip")
 	if err != nil {
@@ -53,19 +54,20 @@ func ExampleRunPGSSParallel() {
 		return
 	}
 	cfg := pgss.DefaultPGSSConfig(pgss.DefaultScale)
-	serial, serialStats, err := pgss.RunPGSS(ctx, pgss.NewTarget(prof), cfg)
+	src := pgss.NewSource(prof)
+	one, oneStats, err := pgss.RunPGSS(ctx, src, cfg, pgss.ParallelOptions{Shards: 1, SampleWorkers: 1})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	par, parStats, err := pgss.RunPGSSParallel(ctx, pgss.NewSource(prof), cfg, pgss.ParallelOptions{Shards: 4, SampleWorkers: 4})
+	four, fourStats, err := pgss.RunPGSS(ctx, src, cfg, pgss.ParallelOptions{Shards: 4, SampleWorkers: 4})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println("parallel result identical to serial:", reflect.DeepEqual(par, serial))
-	fmt.Println("parallel stats identical to serial:", reflect.DeepEqual(parStats, serialStats))
+	fmt.Println("4x4 result identical to 1x1:", reflect.DeepEqual(four, one))
+	fmt.Println("4x4 stats identical to 1x1:", reflect.DeepEqual(fourStats, oneStats))
 	// Output:
-	// parallel result identical to serial: true
-	// parallel stats identical to serial: true
+	// 4x4 result identical to 1x1: true
+	// 4x4 stats identical to 1x1: true
 }

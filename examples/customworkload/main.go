@@ -49,7 +49,7 @@ func main() {
 	}
 	fmt.Printf("%s: %d ops, true IPC %.4f\n", prof.Benchmark, prof.TotalOps, prof.TrueIPC())
 
-	res, st, err := pgss.RunPGSS(ctx, pgss.NewTarget(prof), pgss.DefaultPGSSConfig(pgss.DefaultScale))
+	res, st, err := pgss.RunPGSS(ctx, pgss.NewSource(prof), pgss.DefaultPGSSConfig(pgss.DefaultScale), pgss.ParallelOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

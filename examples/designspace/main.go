@@ -66,7 +66,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, _, err := pgss.RunPGSSParallel(ctx, src, cfg, pgss.ParallelOptions{})
+		res, _, err := pgss.RunPGSS(ctx, src, cfg, pgss.ParallelOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -63,7 +63,7 @@ func main() {
 		"core", "benchmark", "solo_IPC", "corun_IPC", "slowdown", "PGSS_IPC", "err", "detailed(ops)")
 	cfg := pgss.DefaultPGSSConfig(pgss.DefaultScale)
 	for i, prof := range profs {
-		res, _, err := pgss.RunPGSS(ctx, pgss.NewTarget(prof), cfg)
+		res, _, err := pgss.RunPGSS(ctx, pgss.NewSource(prof), cfg, pgss.ParallelOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

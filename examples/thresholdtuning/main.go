@@ -35,7 +35,7 @@ func main() {
 	for _, th := range []float64{0.025, 0.05, 0.10, 0.15, 0.20, 0.25, 0.35, 0.50} {
 		cfg := base
 		cfg.ThresholdPi = th
-		res, st, err := pgss.RunPGSS(ctx, pgss.NewTarget(prof), cfg)
+		res, st, err := pgss.RunPGSS(ctx, pgss.NewSource(prof), cfg, pgss.ParallelOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -449,9 +449,9 @@ func TestVersion2ProfileReRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	var raw []float64
+	v := make(bbv.Vector, 1<<want.HashBits)
 	for start := uint64(0); start < want.TotalOps; start += want.BBVOps {
-		v, err := want.BBVWindow(start, want.BBVOps)
-		if err != nil {
+		if _, err := want.BBVWindowInto(v, start, want.BBVOps); err != nil {
 			t.Fatal(err)
 		}
 		raw = append(raw, v...)

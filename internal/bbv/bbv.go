@@ -225,24 +225,14 @@ func newCounters(h *Hash) counters {
 	return counters{hash: h, regs: make([]float64, h.Buckets())}
 }
 
-// TakeRaw compiles the registers into an unnormalised Vector (component i
-// holds the count charged to register i this period) and clears them for
-// the next sampling period. Raw vectors are additive: the sum of the raw
-// vectors of consecutive periods equals the raw vector of the combined
-// period, which is what profile aggregation relies on.
-func (c *counters) TakeRaw() Vector {
-	v := make(Vector, len(c.regs))
-	copy(v, c.regs)
-	clear(c.regs)
-	return v
-}
-
-// AppendRaw is TakeRaw appending into a caller-owned arena: the registers
-// are appended to dst and cleared, and the grown slice is returned. The
-// recording path in package profile appends every period's raw vector to
-// one contiguous array of running sums and folds it onto the row before it
-// (no allocation per period, and the layout the binary profile codec writes
-// out directly).
+// AppendRaw appends the registers to dst as an unnormalised vector
+// (component i holds the count charged to register i this period), clears
+// them for the next sampling period and returns the grown slice. Raw
+// vectors are additive: the sum of the raw vectors of consecutive periods
+// equals the raw vector of the combined period. The profile recorder
+// appends every period's raw vector to one contiguous array of running
+// sums and folds it onto the row before it (no allocation per period, and
+// the layout the binary profile codec writes out directly).
 func (c *counters) AppendRaw(dst []float64) []float64 {
 	dst = append(dst, c.regs...)
 	clear(c.regs)

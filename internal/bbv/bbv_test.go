@@ -229,7 +229,7 @@ func TestTrackerChargesOpsToTakenBranch(t *testing.T) {
 	tr.TakenBranch(0x4000)
 	tr.RetireOps(5)
 	tr.TakenBranch(0x8000)
-	raw := tr.TakeRaw()
+	raw := Vector(tr.AppendRaw(nil))
 	var total float64
 	for _, x := range raw {
 		total += x
@@ -246,14 +246,14 @@ func TestTrackerPendingCarriesAcrossPeriods(t *testing.T) {
 	h := MustNewHash(5, 42)
 	tr := NewTracker(h)
 	tr.RetireOps(7) // no taken branch yet
-	raw1 := tr.TakeRaw()
+	raw1 := Vector(tr.AppendRaw(nil))
 	for _, x := range raw1 {
 		if x != 0 {
 			t.Error("pending ops leaked into the vector")
 		}
 	}
 	tr.TakenBranch(0x4000)
-	raw2 := tr.TakeRaw()
+	raw2 := Vector(tr.AppendRaw(nil))
 	if raw2[h.Index(0x4000)] != 7 {
 		t.Error("pending ops lost across periods")
 	}
@@ -270,7 +270,7 @@ func TestPropertyRawAdditivity(t *testing.T) {
 		var first Vector
 		for i, e := range events {
 			if i == cut {
-				first = tr1.TakeRaw()
+				first = Vector(tr1.AppendRaw(nil))
 			}
 			addr := uint64(e) * 4
 			ops := uint64(e%7) + 1
@@ -282,10 +282,10 @@ func TestPropertyRawAdditivity(t *testing.T) {
 			}
 		}
 		if first == nil {
-			first = tr1.TakeRaw()
+			first = Vector(tr1.AppendRaw(nil))
 		}
-		second := tr1.TakeRaw()
-		combined := tr2.TakeRaw()
+		second := Vector(tr1.AppendRaw(nil))
+		combined := Vector(tr2.AppendRaw(nil))
 		first.Add(second)
 		for i := range first {
 			if math.Abs(first[i]-combined[i]) > 1e-9 {
@@ -306,7 +306,7 @@ func TestTrackerReset(t *testing.T) {
 	tr.TakenBranch(0x4000)
 	tr.RetireOps(2)
 	tr.Reset()
-	raw := tr.TakeRaw()
+	raw := Vector(tr.AppendRaw(nil))
 	for _, x := range raw {
 		if x != 0 {
 			t.Error("reset incomplete")

@@ -9,10 +9,10 @@ import (
 // engine rely on:
 //
 //   - raw vectors are additive: cutting the stream at any point and summing
-//     the two periods' TakeRaw vectors equals the single uncut vector
+//     the two periods' raw vectors equals the single uncut vector
 //     (pending ops carry across the cut, exactly as across FF windows);
 //   - the hash always indexes within the register file;
-//   - TakeVector is TakeRaw normalised to unit length (or all-zero).
+//   - TakeVector is the raw vector normalised to unit length (or all-zero).
 //
 // The stream encoding is two bytes per event: ops-to-retire, then a branch
 // byte (0 = no branch this event, otherwise a taken branch at that
@@ -40,7 +40,7 @@ func FuzzTrackerStream(f *testing.F) {
 		var partial Vector
 		for i := 0; i < events; i++ {
 			if i == cutAt {
-				partial = split.TakeRaw()
+				partial = Vector(split.AppendRaw(nil))
 			}
 			ops, branch := uint64(stream[2*i]), stream[2*i+1]
 			whole.RetireOps(ops)
@@ -55,10 +55,10 @@ func FuzzTrackerStream(f *testing.F) {
 			}
 		}
 		if partial == nil {
-			partial = split.TakeRaw() // cut at the very end
+			partial = Vector(split.AppendRaw(nil)) // cut at the very end
 		}
-		rest := split.TakeRaw()
-		want := whole.TakeRaw()
+		rest := Vector(split.AppendRaw(nil))
+		want := Vector(whole.AppendRaw(nil))
 		if len(partial) != len(want) || len(rest) != len(want) {
 			t.Fatalf("vector lengths diverged: %d + %d vs %d", len(partial), len(rest), len(want))
 		}

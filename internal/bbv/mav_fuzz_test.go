@@ -9,7 +9,7 @@ import (
 // parallel engine all rely on: raw MAVs are additive across any cut of the
 // access stream. The MAV tracker has no pending state (each access is
 // charged immediately), so — unlike the BBV tracker's pending-carry rule —
-// the two periods' TakeRaw vectors must sum bitwise to the uncut vector at
+// the two periods' raw vectors must sum bitwise to the uncut vector at
 // *every* possible cut, which is why the parallel engine needs no
 // DropPending discipline for the MAV channel.
 //
@@ -39,7 +39,7 @@ func FuzzMAVAdditivity(f *testing.F) {
 		var partial Vector
 		for i := 0; i < accesses; i++ {
 			if i == cutAt {
-				partial = split.TakeRaw()
+				partial = Vector(split.AppendRaw(nil))
 			}
 			addr := (uint64(stream[2*i])<<8 | uint64(stream[2*i+1])) << 3
 			if idx := h.Index(addr); idx < 0 || idx >= h.Buckets() {
@@ -49,10 +49,10 @@ func FuzzMAVAdditivity(f *testing.F) {
 			split.Access(addr)
 		}
 		if partial == nil {
-			partial = split.TakeRaw() // cut at the very end
+			partial = Vector(split.AppendRaw(nil)) // cut at the very end
 		}
-		rest := split.TakeRaw()
-		want := whole.TakeRaw()
+		rest := Vector(split.AppendRaw(nil))
+		want := Vector(whole.AppendRaw(nil))
 		if len(partial) != len(want) || len(rest) != len(want) {
 			t.Fatalf("vector lengths diverged: %d + %d vs %d", len(partial), len(rest), len(want))
 		}

@@ -53,7 +53,7 @@ func TestMAVTrackerCountsAndReset(t *testing.T) {
 		tr.Access(a)
 		want[h.Index(a)]++
 	}
-	raw := tr.TakeRaw()
+	raw := Vector(tr.AppendRaw(nil))
 	var total float64
 	for i, x := range raw {
 		total += x
@@ -64,15 +64,15 @@ func TestMAVTrackerCountsAndReset(t *testing.T) {
 	if total != float64(len(addrs)) {
 		t.Fatalf("raw counts sum to %g, want %d", total, len(addrs))
 	}
-	// TakeRaw cleared the counters.
-	for i, x := range tr.TakeRaw() {
+	// AppendRaw cleared the counters.
+	for i, x := range tr.AppendRaw(nil) {
 		if x != 0 {
 			t.Fatalf("bucket %d not cleared: %g", i, x)
 		}
 	}
 	tr.Access(0x40)
 	tr.Reset()
-	for i, x := range tr.TakeRaw() {
+	for i, x := range tr.AppendRaw(nil) {
 		if x != 0 {
 			t.Fatalf("bucket %d survived Reset: %g", i, x)
 		}

@@ -280,9 +280,6 @@ func MustNewUnit(cfg Config) *Unit {
 // Stats returns a copy of the outcome counters.
 func (u *Unit) Stats() Stats { return u.stats }
 
-// ResetStats zeroes the counters without touching predictor state.
-func (u *Unit) ResetStats() { u.stats = Stats{} }
-
 // State is a serialisable snapshot of a prediction unit (see the
 // checkpoint package).
 type State struct {

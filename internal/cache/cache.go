@@ -111,9 +111,6 @@ func (c *Cache) LineBytes() int { return 1 << c.lineBits }
 // Stats returns a copy of the access counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the counters without touching contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // lineTag returns the tag (line address) for addr; tags store the full line
 // address + 1 so that 0 can mean "invalid".
 func (c *Cache) lineTag(addr uint64) uint64 { return (addr >> c.lineBits) + 1 }

@@ -50,27 +50,22 @@ func DefaultConfig() Config {
 
 // CoreState bundles one core of the CMP.
 type CoreState struct {
-	Core    *cpu.Core
-	tracker *bbv.Tracker
+	Core *cpu.Core
 
-	prof       *profile.Profile
-	ops        uint64
-	lastCycles uint64
-	done       bool
+	rec  *profile.Recorder
+	prof *profile.Profile // the finished profile; nil while the core runs
 }
 
-// Done reports whether the core has halted or reached its op budget.
-func (c *CoreState) Done() bool { return c.done }
+// Done reports whether the core has halted.
+func (c *CoreState) Done() bool { return c.prof != nil }
 
 // Ops returns the core's retired op count.
-func (c *CoreState) Ops() uint64 { return c.ops }
+func (c *CoreState) Ops() uint64 { return c.Core.M.Retired() }
 
 // CMP is a multicore simulator instance.
 type CMP struct {
-	cfg   Config
 	l2    *cache.Cache
 	cores []*CoreState
-	hash  *bbv.Hash
 }
 
 // New builds a CMP running one program per core.
@@ -78,14 +73,11 @@ func New(progs []*program.Program, hash *bbv.Hash, cfg Config) (*CMP, error) {
 	if len(progs) == 0 {
 		return nil, pgsserrors.Invalidf("cmp: no programs")
 	}
-	if err := cfg.Profile.Validate(); err != nil {
-		return nil, err
-	}
 	l2, err := cache.New(cfg.Core.Hierarchy.L2)
 	if err != nil {
 		return nil, err
 	}
-	c := &CMP{cfg: cfg, l2: l2, hash: hash}
+	c := &CMP{l2: l2}
 	for i, prog := range progs {
 		m, err := cpu.NewMachine(prog)
 		if err != nil {
@@ -99,17 +91,11 @@ func New(progs []*program.Program, hash *bbv.Hash, cfg Config) (*CMP, error) {
 		if err != nil {
 			return nil, err
 		}
-		cs := &CoreState{
-			Core:    core,
-			tracker: bbv.NewTracker(hash),
-			prof: &profile.Profile{
-				Benchmark: prog.Name,
-				HashBits:  hash.Width(),
-				FineOps:   cfg.Profile.FineOps,
-				BBVOps:    cfg.Profile.BBVOps,
-			},
+		rec, err := profile.NewRecorder(prog.Name, hash, cfg.Profile, core.T.Cycle())
+		if err != nil {
+			return nil, err
 		}
-		c.cores = append(c.cores, cs)
+		c.cores = append(c.cores, &CoreState{Core: core, rec: rec})
 	}
 	return c, nil
 }
@@ -130,7 +116,7 @@ func (c *CMP) Record() ([]*profile.Profile, error) {
 		// Pick the live core with the smallest local clock.
 		var next *CoreState
 		for _, cs := range c.cores {
-			if cs.done {
+			if cs.Done() {
 				continue
 			}
 			if next == nil || cs.Core.T.Cycle() < next.Core.T.Cycle() {
@@ -142,12 +128,12 @@ func (c *CMP) Record() ([]*profile.Profile, error) {
 		}
 		if !next.Core.StepDetailed(&r) {
 			if err := next.Core.M.Err(); err != nil {
-				return nil, fmt.Errorf("cmp: %s: %w", next.prof.Benchmark, err)
+				return nil, fmt.Errorf("cmp: %s: %w", next.Core.M.Program().Name, err)
 			}
-			next.finish()
+			next.prof = next.rec.Finish(next.Core.T.Cycle())
 			continue
 		}
-		next.retire(&r, c.cfg)
+		next.retire(&r)
 	}
 	out := make([]*profile.Profile, len(c.cores))
 	for i, cs := range c.cores {
@@ -156,32 +142,15 @@ func (c *CMP) Record() ([]*profile.Profile, error) {
 	return out, nil
 }
 
-func (cs *CoreState) retire(r *cpu.Retired, cfg Config) {
-	cs.ops++
-	cs.tracker.RetireOps(1)
+// retire charges one retired op to the core's profile: its taken branch
+// and memory address to the signature trackers, then its cycles.
+func (cs *CoreState) retire(r *cpu.Retired) {
+	cs.rec.BBV.RetireOps(1)
 	if r.Taken {
-		cs.tracker.TakenBranch(r.Addr)
+		cs.rec.BBV.TakenBranch(r.Addr)
 	}
-	if cs.ops%cfg.Profile.FineOps == 0 {
-		now := cs.Core.T.Cycle()
-		cs.prof.Cycles = append(cs.prof.Cycles, uint32(now-cs.lastCycles))
-		cs.lastCycles = now
+	if cs.rec.MAV != nil && r.Op.IsMem() {
+		cs.rec.MAV.Access(r.MemAddr)
 	}
-	if cs.ops%cfg.Profile.BBVOps == 0 {
-		cs.prof.AppendBBV(cs.tracker.TakeRaw())
-	}
-}
-
-func (cs *CoreState) finish() {
-	cs.done = true
-	if tail := cs.ops % cs.prof.FineOps; tail != 0 {
-		now := cs.Core.T.Cycle()
-		cs.prof.Cycles = append(cs.prof.Cycles, uint32(now-cs.lastCycles))
-		cs.prof.TailOps = tail
-	}
-	if cs.ops%cs.prof.BBVOps != 0 {
-		cs.prof.AppendBBV(cs.tracker.TakeRaw())
-	}
-	cs.prof.TotalOps = cs.ops
-	cs.prof.TotalCycles = cs.Core.T.Cycle()
+	cs.rec.Retired(1, cs.Core.T.Cycle())
 }

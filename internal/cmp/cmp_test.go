@@ -2,6 +2,7 @@ package cmp
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"pgss/internal/bbv"
@@ -53,7 +54,8 @@ func TestValidation(t *testing.T) {
 }
 
 func TestSingleCoreMatchesUniprocessor(t *testing.T) {
-	// A one-core CMP is exactly the uniprocessor simulator.
+	// A one-core CMP is exactly the uniprocessor simulator, and records
+	// exactly its profile: cycles, BBVs and MAVs.
 	const ops = 2_000_000
 	solo := soloProfile(t, "177.mesa", ops)
 
@@ -69,6 +71,9 @@ func TestSingleCoreMatchesUniprocessor(t *testing.T) {
 	if profs[0].TotalOps != solo.TotalOps || profs[0].TotalCycles != solo.TotalCycles {
 		t.Errorf("one-core CMP diverged: %d/%d ops, %d/%d cycles",
 			profs[0].TotalOps, solo.TotalOps, profs[0].TotalCycles, solo.TotalCycles)
+	}
+	if !profs[0].HasMAV() || !reflect.DeepEqual(profs[0], solo) {
+		t.Error("one-core CMP profile differs from the uniprocessor's")
 	}
 }
 

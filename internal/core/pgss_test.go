@@ -98,7 +98,7 @@ func TestPGSSUsesFewerSamplesThanSMARTS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, err := sampling.SMARTS(sampling.NewProfileTarget(p), sampling.SMARTSConfig{
+	sm, err := sampling.SMARTS(p, sampling.SMARTSConfig{
 		PeriodOps: 100_000, WarmOps: 3000, SampleOps: 1000,
 	})
 	if err != nil {

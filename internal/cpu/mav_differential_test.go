@@ -71,7 +71,7 @@ func TestMAVStepBlockDifferential(t *testing.T) {
 					ops += n
 					// Cut at every block boundary: with no pending state the
 					// periods must match bitwise, not just their totals.
-					v1, v2 := tr1.TakeRaw(), tr2.TakeRaw()
+					v1, v2 := bbv.Vector(tr1.AppendRaw(nil)), bbv.Vector(tr2.AppendRaw(nil))
 					for i := range v1 {
 						if v1[i] != v2[i] {
 							t.Fatalf("op %d: raw MAV bucket %d diverged: per-op %g, block %g",

@@ -82,8 +82,8 @@ func periodDiff(t1, t2 *bbv.Tracker, mav1, mav2 *bbv.MAVTracker) string {
 		name   string
 		v1, v2 bbv.Vector
 	}{
-		{"BBV", t1.TakeRaw(), t2.TakeRaw()},
-		{"MAV", mav1.TakeRaw(), mav2.TakeRaw()},
+		{"BBV", bbv.Vector(t1.AppendRaw(nil)), bbv.Vector(t2.AppendRaw(nil))},
+		{"MAV", bbv.Vector(mav1.AppendRaw(nil)), bbv.Vector(mav2.AppendRaw(nil))},
 	} {
 		for b := range v.v1 {
 			if v.v1[b] != v.v2[b] {

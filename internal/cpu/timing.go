@@ -4,6 +4,7 @@ import (
 	"pgss/internal/branch"
 	"pgss/internal/cache"
 	"pgss/internal/isa"
+	"pgss/internal/program"
 )
 
 // Latency table for the execution classes (issue-to-result cycles). Load
@@ -239,6 +240,16 @@ func NewCore(m *Machine, cfg CoreConfig) (*Core, error) {
 		return nil, err
 	}
 	return NewCoreWithHierarchy(m, cfg, hier)
+}
+
+// NewProgramCore builds a fresh Machine running prog and a Core around it
+// with the given configuration.
+func NewProgramCore(prog *program.Program, cfg CoreConfig) (*Core, error) {
+	m, err := NewMachine(prog)
+	if err != nil {
+		return nil, err
+	}
+	return NewCore(m, cfg)
 }
 
 // NewCoreWithHierarchy builds a Core over an externally constructed cache

@@ -37,7 +37,7 @@ var techniqueTable = []technique{
 		return res, err
 	}},
 	{"SMARTS", func(_ context.Context, s *Suite, p *profile.Profile, _ int64) (sampling.Result, error) {
-		return sampling.SMARTS(sampling.NewProfileTarget(p), sampling.DefaultSMARTSConfig(s.Scale()))
+		return sampling.SMARTS(p, sampling.DefaultSMARTSConfig(s.Scale()))
 	}},
 	{"TurboSMARTS", func(_ context.Context, s *Suite, p *profile.Profile, seed int64) (sampling.Result, error) {
 		cfg := sampling.DefaultTurboSMARTSConfig(s.Scale())
@@ -68,7 +68,7 @@ var techniqueTable = []technique{
 		return sampling.RankedSet(p, cfg)
 	}},
 	{"Full", func(_ context.Context, _ *Suite, p *profile.Profile, _ int64) (sampling.Result, error) {
-		return sampling.Full(sampling.NewProfileTarget(p), p.BBVOps)
+		return sampling.Full(p)
 	}},
 }
 

@@ -19,7 +19,6 @@ import (
 	"pgss/internal/cpu"
 	"pgss/internal/faultinject"
 	"pgss/internal/profile"
-	"pgss/internal/program"
 	"pgss/internal/sampling"
 	"pgss/internal/workload"
 )
@@ -406,17 +405,7 @@ func (s *Suite) newCore(spec *workload.Spec, ops uint64) (*cpu.Core, error) {
 	if err != nil {
 		return nil, err
 	}
-	return coreOf(prog)
-}
-
-// coreOf builds a fresh detailed core over prog. Programs are immutable,
-// so any number of cores may share one.
-func coreOf(prog *program.Program) (*cpu.Core, error) {
-	m, err := cpu.NewMachine(prog)
-	if err != nil {
-		return nil, err
-	}
-	return cpu.NewCore(m, cpu.DefaultCoreConfig())
+	return cpu.NewProgramCore(prog, cpu.DefaultCoreConfig())
 }
 
 // checkpointStride is the library stride for checkpoint-accelerated

@@ -79,22 +79,23 @@ func (s *ProfileSource) Windows(ctx context.Context, ffOps uint64, first int, ou
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		raw, err := s.p.BBVWindow(pos, ffOps)
+		b := make(bbv.Vector, 1<<s.p.HashBits)
+		ok, err := s.p.BBVWindowInto(b, pos, ffOps)
 		if err != nil {
 			return err
 		}
-		if raw == nil {
+		if !ok {
 			return pgsserrors.Invalidf(
 				"parallel: %s: window %d starts at %d, past the %d-op profile",
 				s.p.Benchmark, first+i, pos, s.p.TotalOps)
 		}
-		out[i].BBV = raw.Normalize()
+		out[i].BBV = b.Normalize()
 		if s.p.HasMAV() {
-			rawMAV, err := s.p.MAVWindow(pos, ffOps)
-			if err != nil {
+			m := make(bbv.Vector, 1<<s.p.MAVBits)
+			if _, err := s.p.MAVWindowInto(m, pos, ffOps); err != nil {
 				return err
 			}
-			out[i].MAV = rawMAV.Normalize()
+			out[i].MAV = m.Normalize()
 		}
 		out[i].Ops = ffOps
 		if remaining := s.p.TotalOps - pos; remaining < ffOps {
@@ -185,15 +186,6 @@ func NewLiveSource(lib *checkpoint.Library, hash, mavHash *bbv.Hash, prog *progr
 	}, nil
 }
 
-// newCore builds a fresh core running the source's program.
-func (s *LiveSource) newCore() (*cpu.Core, error) {
-	m, err := cpu.NewMachine(s.prog)
-	if err != nil {
-		return nil, err
-	}
-	return cpu.NewCore(m, s.cc)
-}
-
 // Benchmark implements Source.
 func (s *LiveSource) Benchmark() string { return s.prog.Name }
 
@@ -262,7 +254,7 @@ func (s *LiveSource) shardCore() (*cpu.Core, error) {
 	k := len(s.cores)
 	if k == 0 {
 		s.mu.Unlock()
-		return s.newCore()
+		return cpu.NewProgramCore(s.prog, s.cc)
 	}
 	c := s.cores[k-1]
 	s.cores = s.cores[:k-1]
@@ -273,7 +265,7 @@ func (s *LiveSource) shardCore() (*cpu.Core, error) {
 // NewSampler implements Source: each worker owns a core it repeatedly
 // restores from the library (TurboSMARTS-style random-access live samples).
 func (s *LiveSource) NewSampler() (Sampler, error) {
-	c, err := s.newCore()
+	c, err := cpu.NewProgramCore(s.prog, s.cc)
 	if err != nil {
 		return nil, fmt.Errorf("parallel: sampler core: %w", err)
 	}

@@ -51,8 +51,8 @@ func FuzzProfileDecode(f *testing.F) {
 		if p.HasMAV() {
 			last := (p.TotalOps - 1) / p.BBVOps * p.BBVOps
 			for _, start := range []uint64{0, last} {
-				if _, err := p.MAVWindow(start, p.BBVOps); err != nil {
-					t.Fatalf("MAVWindow(%d) of a loaded profile: %v", start, err)
+				if _, err := readWindow(p.MAVWindowInto, p.MAVBits, start, p.BBVOps); err != nil {
+					t.Fatalf("MAVWindowInto(%d) of a loaded profile: %v", start, err)
 				}
 			}
 		}

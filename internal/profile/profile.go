@@ -118,78 +118,114 @@ const ctxCheckOps = 1 << 16
 //
 // The core's stepping kernel runs one fine interval at a time (BBVOps is a
 // multiple of FineOps, so every recording boundary lands exactly on its
-// op position). Each interval's raw vector is appended to its channel's
-// running sums and folded onto the row before it, in place.
+// op position), feeding a Recorder's trackers.
 func RecordContext(ctx context.Context, core *cpu.Core, hash *bbv.Hash, cfg Config) (*Profile, error) {
+	rec, err := NewRecorder(core.M.Program().Name, hash, cfg, core.T.Cycle())
+	if err != nil {
+		return nil, err
+	}
+	nextCtx := uint64(ctxCheckOps)
+	for !core.M.Halted() {
+		n := core.Run(cfg.FineOps-rec.ops%cfg.FineOps, cpu.Detailed, rec.BBV, rec.MAV)
+		rec.Retired(n, core.T.Cycle())
+		if rec.ops >= nextCtx {
+			nextCtx += ctxCheckOps
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("profile: %s: recording cancelled after %d ops: %w (%w)",
+					rec.p.Benchmark, rec.ops, pgsserrors.ErrBudgetExceeded, err)
+			}
+		}
+	}
+	if err := core.M.Err(); err != nil {
+		return nil, fmt.Errorf("profile: %s halted abnormally after %d ops: %w", rec.p.Benchmark, rec.ops, err)
+	}
+	return rec.Finish(core.T.Cycle()), nil
+}
+
+// Recorder builds a profile from a detailed run's retire stream: the
+// cycle count of every fine interval and, per BBV interval, the raw vector
+// of each signature channel. Its driver charges every retired op to the
+// trackers BBV and MAV and then reports the ops with Retired.
+type Recorder struct {
+	// BBV accumulates the current BBV interval's basic-block vector; MAV
+	// its memory-access vector, nil when the configuration has no MAV
+	// channel.
+	BBV *bbv.Tracker
+	MAV *bbv.MAVTracker
+
+	p           *Profile
+	ops         uint64
+	start, last uint64 // clock readings at the start and the last fine boundary
+}
+
+// NewRecorder starts the profile of the named program, with BBVs hashed
+// by hash, on a core whose clock reads startCycle.
+func NewRecorder(name string, hash *bbv.Hash, cfg Config, startCycle uint64) (*Recorder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Profile{
-		Benchmark: core.M.Program().Name,
-		HashBits:  hash.Width(),
-		FineOps:   cfg.FineOps,
-		BBVOps:    cfg.BBVOps,
-		MAVBits:   cfg.MAVBits,
+	r := &Recorder{
+		BBV: bbv.NewTracker(hash),
+		p: &Profile{
+			Benchmark: name,
+			HashBits:  hash.Width(),
+			FineOps:   cfg.FineOps,
+			BBVOps:    cfg.BBVOps,
+			MAVBits:   cfg.MAVBits,
+			bbvRows:   make([]float64, hash.Buckets()),
+		},
+		start: startCycle,
+		last:  startCycle,
 	}
-	width := hash.Buckets()
-	p.bbvRows = make([]float64, width)
-	tracker := bbv.NewTracker(hash)
-	var (
-		mavt   *bbv.MAVTracker
-		mwidth int
-	)
 	if cfg.MAVBits > 0 {
 		mavHash, err := bbv.NewMAVHash(cfg.MAVBits, cfg.MAVSeed)
 		if err != nil {
 			return nil, err
 		}
-		mavt = bbv.NewMAVTracker(mavHash)
-		mwidth = mavHash.Buckets()
-		p.mavRows = make([]float64, mwidth)
+		r.MAV = bbv.NewMAVTracker(mavHash)
+		r.p.mavRows = make([]float64, mavHash.Buckets())
 	}
-	takeRows := func() {
-		p.bbvRows = foldRow(tracker.AppendRaw(p.bbvRows), width)
-		if mavt != nil {
-			p.mavRows = foldRow(mavt.AppendRaw(p.mavRows), mwidth)
-		}
+	return r, nil
+}
+
+// Retired notes n more retired ops, after which the core's clock reads
+// cycle. The ops must not cross a fine-interval boundary without ending on
+// it: a recording boundary is closed only where a call ends.
+func (r *Recorder) Retired(n, cycle uint64) {
+	r.ops += n
+	if n == 0 || r.ops%r.p.FineOps != 0 {
+		return
 	}
-	var ops uint64
-	nextCtx := uint64(ctxCheckOps)
-	lastCycles := core.T.Cycle()
-	for !core.M.Halted() {
-		n := core.Run(cfg.FineOps-ops%cfg.FineOps, cpu.Detailed, tracker, mavt)
-		ops += n
-		if ops%cfg.FineOps == 0 && n > 0 {
-			now := core.T.Cycle()
-			p.Cycles = append(p.Cycles, uint32(now-lastCycles))
-			lastCycles = now
-			if ops%cfg.BBVOps == 0 {
-				takeRows()
-			}
-		}
-		if ops >= nextCtx {
-			nextCtx += ctxCheckOps
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("profile: %s: recording cancelled after %d ops: %w (%w)",
-					p.Benchmark, ops, pgsserrors.ErrBudgetExceeded, err)
-			}
-		}
+	r.p.Cycles = append(r.p.Cycles, uint32(cycle-r.last))
+	r.last = cycle
+	if r.ops%r.p.BBVOps == 0 {
+		r.takeRows()
 	}
-	if err := core.M.Err(); err != nil {
-		return nil, fmt.Errorf("profile: %s halted abnormally after %d ops: %w", p.Benchmark, ops, err)
-	}
-	// Tail intervals.
-	if tail := ops % cfg.FineOps; tail != 0 {
-		now := core.T.Cycle()
-		p.Cycles = append(p.Cycles, uint32(now-lastCycles))
+}
+
+// Finish closes the short final intervals, if any, at the given clock
+// reading and returns the profile.
+func (r *Recorder) Finish(cycle uint64) *Profile {
+	p := r.p
+	if tail := r.ops % p.FineOps; tail != 0 {
+		p.Cycles = append(p.Cycles, uint32(cycle-r.last))
 		p.TailOps = tail
 	}
-	if ops%cfg.BBVOps != 0 {
-		takeRows()
+	if r.ops%p.BBVOps != 0 {
+		r.takeRows()
 	}
-	p.TotalOps = ops
-	p.TotalCycles = core.T.Cycle()
-	return p, nil
+	p.TotalOps = r.ops
+	p.TotalCycles = cycle - r.start
+	return p
+}
+
+// takeRows appends each channel's raw vector of the BBV interval just
+// closed to its running sums, folded onto the row before it in place.
+func (r *Recorder) takeRows() {
+	r.p.bbvRows = foldRow(r.BBV.AppendRaw(r.p.bbvRows), 1<<r.p.HashBits)
+	if r.MAV != nil {
+		r.p.mavRows = foldRow(r.MAV.AppendRaw(r.p.mavRows), 1<<r.p.MAVBits)
+	}
 }
 
 // foldRow turns the raw vector last appended to rows, a channel's running
@@ -293,30 +329,14 @@ func (p *Profile) IPCSeries(gran uint64) ([]float64, error) {
 	return out, nil
 }
 
-// BBVWindow returns the raw (unnormalised) BBV of the window starting at op
-// position start (a multiple of BBVOps) spanning ops (a multiple of
-// BBVOps), clipped at the end of the program. A window past the end of the
-// program returns (nil, nil).
-func (p *Profile) BBVWindow(start, ops uint64) (bbv.Vector, error) {
-	return p.window(p.bbvRows, p.HashBits, "BBV", start, ops)
-}
-
-// BBVWindowInto is BBVWindow into a caller-owned buffer of length
-// 1<<HashBits, avoiding the per-window allocation on hot replay loops. It
-// reports ok=false for a window past the end of the program (dst is then
-// unchanged). Safe for concurrent use with distinct buffers.
+// BBVWindowInto writes the raw (unnormalised) BBV of the window starting
+// at op position start (a multiple of BBVOps) spanning ops (a multiple of
+// BBVOps), clipped at the end of the program, into dst, a caller-owned
+// buffer of length 1<<HashBits. It reports ok=false for a window past the
+// end of the program (dst is then unchanged). Safe for concurrent use with
+// distinct buffers.
 func (p *Profile) BBVWindowInto(dst bbv.Vector, start, ops uint64) (bool, error) {
 	return p.windowInto(p.bbvRows, p.HashBits, "BBV", dst, start, ops)
-}
-
-// window is windowInto into a fresh vector; a window past the end of the
-// program returns (nil, nil).
-func (p *Profile) window(rows []float64, bits int, channel string, start, ops uint64) (bbv.Vector, error) {
-	dst := make(bbv.Vector, 1<<bits)
-	if ok, err := p.windowInto(rows, bits, channel, dst, start, ops); !ok {
-		return nil, err
-	}
-	return dst, nil
 }
 
 // windowInto writes the raw vector of a window on one channel, whose
@@ -393,15 +413,6 @@ func (p *Profile) MAVWindowInto(dst bbv.Vector, start, ops uint64) (bool, error)
 	return p.windowInto(p.mavRows, p.MAVBits, "MAV", dst, start, ops)
 }
 
-// MAVWindow is MAVWindowInto into a fresh vector; a window past the end of
-// the program returns (nil, nil).
-func (p *Profile) MAVWindow(start, ops uint64) (bbv.Vector, error) {
-	if !p.HasMAV() {
-		return nil, p.errNoMAV()
-	}
-	return p.window(p.mavRows, p.MAVBits, "MAV", start, ops)
-}
-
 // errNoMAV is the error of a MAV read on a profile recorded without the
 // channel.
 func (p *Profile) errNoMAV() error {
@@ -415,24 +426,18 @@ func (p *Profile) errNoMAV() error {
 func (p *Profile) SignatureWindow(ch bbv.Channel, start, ops uint64) (bbv.Vector, error) {
 	var bvec, mvec bbv.Vector
 	if ch.NeedsBBV() {
-		raw, err := p.BBVWindow(start, ops)
-		if err != nil {
+		bvec = make(bbv.Vector, 1<<p.HashBits)
+		if ok, err := p.BBVWindowInto(bvec, start, ops); !ok {
 			return nil, err
 		}
-		if raw == nil {
-			return nil, nil
-		}
-		bvec = raw.Normalize()
+		bvec.Normalize()
 	}
 	if ch.NeedsMAV() {
-		raw, err := p.MAVWindow(start, ops)
-		if err != nil {
+		mvec = make(bbv.Vector, 1<<p.MAVBits)
+		if ok, err := p.MAVWindowInto(mvec, start, ops); !ok {
 			return nil, err
 		}
-		if raw == nil {
-			return nil, nil
-		}
-		mvec = raw.Normalize()
+		mvec.Normalize()
 	}
 	sig, _, err := bbv.Signature(ch, bvec, mvec, nil)
 	if err != nil {

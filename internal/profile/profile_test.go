@@ -113,7 +113,7 @@ func TestRecordConservation(t *testing.T) {
 	}
 	// Raw BBV total weight is close to total ops (pending ops at the end
 	// are the only loss).
-	whole, err := p.BBVWindow(0, (p.TotalOps/5000+1)*5000)
+	whole, err := readWindow(p.BBVWindowInto, p.HashBits, 0, (p.TotalOps/5000+1)*5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +161,8 @@ func TestUnalignedWindowErrors(t *testing.T) {
 	if _, err := p.IPCWindow(500, 1000); !errors.Is(err, pgsserrors.ErrMisalignedWindow) {
 		t.Errorf("unaligned IPCWindow: got %v, want ErrMisalignedWindow", err)
 	}
-	if _, err := p.BBVWindow(0, 3000); !errors.Is(err, pgsserrors.ErrMisalignedWindow) {
-		t.Errorf("unaligned BBVWindow: got %v, want ErrMisalignedWindow", err)
+	if _, err := readWindow(p.BBVWindowInto, p.HashBits, 0, 3000); !errors.Is(err, pgsserrors.ErrMisalignedWindow) {
+		t.Errorf("unaligned BBVWindowInto: got %v, want ErrMisalignedWindow", err)
 	}
 	if _, _, err := p.CyclesWindow(0, 500); !errors.Is(err, pgsserrors.ErrMisalignedWindow) {
 		t.Errorf("unaligned CyclesWindow: got %v, want ErrMisalignedWindow", err)
@@ -196,12 +196,12 @@ func TestBBVWindowAggregation(t *testing.T) {
 	prog := computeProgram(t, 20000)
 	p := record(t, prog, Config{FineOps: 1000, BBVOps: 2000})
 	// Aggregating two windows equals the sum of raws.
-	w, err := p.BBVWindow(0, 4000)
+	w, err := readWindow(p.BBVWindowInto, p.HashBits, 0, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	manual, _ := p.BBVWindow(0, 2000)
-	second, _ := p.BBVWindow(2000, 2000)
+	manual, _ := readWindow(p.BBVWindowInto, p.HashBits, 0, 2000)
+	second, _ := readWindow(p.BBVWindowInto, p.HashBits, 2000, 2000)
 	manual.Add(second)
 	if !reflect.DeepEqual(w, manual) {
 		t.Fatalf("4000-op window %v != sum of its 2000-op windows %v", w, manual)
@@ -382,6 +382,17 @@ func TestRecordContextCancelled(t *testing.T) {
 	}
 }
 
+// readWindow reads one window through a channel's Into reader (hashed to
+// bits bits) into a fresh vector; a window past the end of the program
+// reads (nil, nil).
+func readWindow(into func(bbv.Vector, uint64, uint64) (bool, error), bits int, start, ops uint64) (bbv.Vector, error) {
+	dst := make(bbv.Vector, 1<<bits)
+	if ok, err := into(dst, start, ops); !ok {
+		return nil, err
+	}
+	return dst, nil
+}
+
 // TestMAVWindowAggregation: MAV windows are sums of the recorded per-period
 // raw vectors (mirroring TestBBVWindowAggregation), misaligned requests
 // fail, and requests past the end return nil.
@@ -391,27 +402,30 @@ func TestMAVWindowAggregation(t *testing.T) {
 	if !p.HasMAV() {
 		t.Fatal("no MAV channel recorded")
 	}
-	two, err := p.MAVWindow(0, 2*p.BBVOps)
+	mav := func(start, ops uint64) (bbv.Vector, error) {
+		return readWindow(p.MAVWindowInto, p.MAVBits, start, ops)
+	}
+	two, err := mav(0, 2*p.BBVOps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := p.MAVWindow(0, p.BBVOps)
-	second, _ := p.MAVWindow(p.BBVOps, p.BBVOps)
+	want, _ := mav(0, p.BBVOps)
+	second, _ := mav(p.BBVOps, p.BBVOps)
 	want.Add(second)
 	if !reflect.DeepEqual(two, want) {
 		t.Fatalf("2-period MAV window %v != sum of raw %v", two, want)
 	}
-	if _, err := p.MAVWindow(1, p.BBVOps); err == nil {
+	if _, err := mav(1, p.BBVOps); err == nil {
 		t.Error("misaligned MAV window accepted")
 	}
-	past, err := p.MAVWindow((p.TotalOps/p.BBVOps+10)*p.BBVOps, p.BBVOps)
+	past, err := mav((p.TotalOps/p.BBVOps+10)*p.BBVOps, p.BBVOps)
 	if err != nil || past != nil {
 		t.Errorf("past-end MAV window: %v, %v; want nil, nil", past, err)
 	}
 
 	// A MAV-less profile must reject the channel outright.
 	bare := record(t, prog, Config{FineOps: 1000, BBVOps: 5000})
-	if _, err := bare.MAVWindow(0, bare.BBVOps); err == nil {
+	if _, err := readWindow(bare.MAVWindowInto, bare.MAVBits, 0, bare.BBVOps); err == nil {
 		t.Error("MAV window on a MAV-less profile accepted")
 	}
 }
@@ -467,13 +481,14 @@ func TestWindowsAreSumsOfIntervals(t *testing.T) {
 		}
 		n := int(p.TotalOps/p.BBVOps) + 1 // the last interval is the tail
 		for _, ch := range []struct {
-			read func(start, ops uint64) (bbv.Vector, error)
+			into func(bbv.Vector, uint64, uint64) (bool, error)
+			bits int
 			rows []float64
-		}{{p.BBVWindow, p.bbvRows}, {p.MAVWindow, p.mavRows}} {
+		}{{p.BBVWindowInto, p.HashBits, p.bbvRows}, {p.MAVWindowInto, p.MAVBits, p.mavRows}} {
 			width := len(ch.rows) / (n + 1)
 			raw := make([]bbv.Vector, n)
 			for j := range raw {
-				v, err := ch.read(uint64(j)*p.BBVOps, p.BBVOps)
+				v, err := readWindow(ch.into, ch.bits, uint64(j)*p.BBVOps, p.BBVOps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -488,7 +503,7 @@ func TestWindowsAreSumsOfIntervals(t *testing.T) {
 			}
 			for trial := 0; trial < 400; trial++ {
 				j0, m := rng.Intn(n+3), 1+rng.Intn(n+2)
-				got, err := ch.read(uint64(j0)*p.BBVOps, uint64(m)*p.BBVOps)
+				got, err := readWindow(ch.into, ch.bits, uint64(j0)*p.BBVOps, uint64(m)*p.BBVOps)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -46,7 +46,7 @@ func BenchmarkProfileTargetNextWindow(b *testing.B) {
 			if t.Err() != nil {
 				b.Fatal(t.Err())
 			}
-			t.Reset()
+			t = NewProfileTarget(p)
 		}
 	}
 }
@@ -60,7 +60,7 @@ func BenchmarkIntervalTechniques(b *testing.B) {
 		name string
 		run  func() (Result, error)
 	}{
-		{"SMARTS", func() (Result, error) { return SMARTS(NewProfileTarget(p), DefaultSMARTSConfig(10)) }},
+		{"SMARTS", func() (Result, error) { return SMARTS(p, DefaultSMARTSConfig(10)) }},
 		{"TurboSMARTS", func() (Result, error) { return TurboSMARTS(p, DefaultTurboSMARTSConfig(10)) }},
 		{"Stratified", func() (Result, error) { return Stratified(p, DefaultStratifiedConfig(10)) }},
 		{"2PSS", func() (Result, error) { return TwoPhase(p, DefaultTwoPhaseConfig(10)) }},

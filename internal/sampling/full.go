@@ -1,38 +1,36 @@
 package sampling
 
-import "pgss/internal/pgsserrors"
+import "pgss/internal/profile"
 
-// Full runs the benchmark entirely in detailed mode through the Target
-// window interface — the ground-truth technique every sampled technique is
-// measured against. windowOps sets the bookkeeping window (any multiple of
-// the target's BBV granularity).
-func Full(t Target, windowOps uint64) (Result, error) {
-	if windowOps == 0 {
-		return Result{}, pgsserrors.Invalidf("sampling: full: zero window")
-	}
+// Full runs the benchmark entirely in detailed mode — the ground-truth
+// technique every sampled technique is measured against. It reads the
+// profile's recorded cycles one BBV interval at a time; the short final
+// interval, if any, is charged but not measured.
+func Full(p *profile.Profile) (Result, error) {
 	res := Result{
 		Technique: "Full",
 		Config:    "detailed",
-		Benchmark: t.Benchmark(),
-		TrueIPC:   t.TrueIPC(),
+		Benchmark: p.Benchmark,
+		TrueIPC:   p.TrueIPC(),
 	}
 	var ops, cycleEquiv float64
-	for {
-		w, ok := t.NextWindow(windowOps, 0, windowOps)
-		if !ok {
+	for pos := uint64(0); pos < p.TotalOps; pos += p.BBVOps {
+		n := min(p.BBVOps, p.TotalOps-pos)
+		res.Costs.Detailed += n
+		if n < p.BBVOps {
 			break
 		}
-		res.Costs.Detailed += w.Ops
-		if w.SampleOps > 0 && w.SampleIPC > 0 {
+		ipc, err := p.IPCWindow(pos, n)
+		if err != nil {
+			return res, err
+		}
+		if ipc > 0 {
 			// Reconstruct cycles from the measured ratio so the combined
 			// estimate is the true ops/cycles quotient.
-			ops += float64(w.SampleOps)
-			cycleEquiv += float64(w.SampleOps) / w.SampleIPC
+			ops += float64(n)
+			cycleEquiv += float64(n) / ipc
 			res.Samples++
 		}
-	}
-	if err := t.Err(); err != nil {
-		return res, err
 	}
 	if cycleEquiv > 0 {
 		res.EstimatedIPC = ops / cycleEquiv

@@ -170,6 +170,7 @@ func RankedSet(p *profile.Profile, cfg RankedSetConfig) (Result, error) {
 	// fast-forward only once.
 	keys := make([]float64, n)
 	haveKey := make([]bool, n)
+	mav := make(bbv.Vector, 1<<p.MAVBits) // the ranked interval's raw MAV
 	rankKey := func(u int) float64 {
 		if haveKey[u] {
 			return keys[u]
@@ -181,11 +182,13 @@ func RankedSet(p *profile.Profile, cfg RankedSetConfig) (Result, error) {
 		if cfg.Channel.NeedsMAV() {
 			// Memory-access density: accesses per op, the cheap
 			// memory-boundedness proxy MAVs make available.
-			raw, err := p.MAVWindow(start, cfg.IntervalOps)
+			ok, err := p.MAVWindowInto(mav, start, cfg.IntervalOps)
 			iv.note(err)
 			var accesses float64
-			for _, x := range raw {
-				accesses += x
+			if ok {
+				for _, x := range mav {
+					accesses += x
+				}
 			}
 			key = accesses / float64(cfg.IntervalOps)
 		} else {

@@ -1,14 +1,16 @@
 // Package sampling contains the sampled-simulation machinery shared by all
 // techniques — execution-mode cost accounting, result types, and the
-// Target abstraction a sequential controller drives — plus the baseline
+// Target windows the serial PGSS drivers step through — plus the baseline
 // techniques the paper compares PGSS-Sim against: full detailed
 // simulation, SMARTS, TurboSMARTS, offline SimPoint and online SimPoint.
+// The baselines replay a profile directly; Full, SMARTS and TurboSMARTS
+// read only its recorded cycles.
 //
-// A sequential controller (SMARTS, PGSS) sees execution as a series of
-// windows: each window optionally starts with a detailed warm-up and a
-// detailed measured sample (the SMARTS 3k+1k structure), and the remainder
-// runs in functional-warming fast-forward while the BBV tracker
-// accumulates. Targets replay a recorded profile (ProfileTarget): a
+// A serial PGSS driver (core.RunContext, core.RunAdaptive) sees execution
+// as a series of windows: each window optionally starts with a detailed
+// warm-up and a detailed measured sample (the SMARTS 3k+1k structure), and
+// the remainder runs in functional-warming fast-forward while the BBV
+// tracker accumulates. ProfileTarget replays a recorded profile: a
 // window's BBV sums the recorded intervals, whose tracker carried pending
 // (post-last-branch) ops across every boundary, and a sample's IPC is that
 // of a perfectly warmed sample. Live simulation runs on the sharded engine
@@ -106,7 +108,7 @@ func BestOf[C any](sweep []C, run func(C) (Result, error)) (Result, error) {
 	return best, nil
 }
 
-// Window is what a sequential controller receives for each stretch of
+// Window is what a serial PGSS driver receives for each stretch of
 // execution it requested.
 type Window struct {
 	// Ops actually covered (the final window may be short).
@@ -125,7 +127,7 @@ type Window struct {
 	WarmOps   uint64
 }
 
-// Target is a benchmark execution a sequential controller can drive.
+// Target is a benchmark execution a serial PGSS driver steps through.
 type Target interface {
 	// Benchmark returns the workload name.
 	Benchmark() string
@@ -171,17 +173,11 @@ func NewProfileTarget(p *profile.Profile) *ProfileTarget {
 // Benchmark implements Target.
 func (t *ProfileTarget) Benchmark() string { return t.p.Benchmark }
 
-// TotalOps returns the profile's run length.
-func (t *ProfileTarget) TotalOps() uint64 { return t.p.TotalOps }
-
 // TrueIPC implements Target.
 func (t *ProfileTarget) TrueIPC() float64 { return t.p.TrueIPC() }
 
 // Pos implements Target.
 func (t *ProfileTarget) Pos() uint64 { return t.pos }
-
-// Reset rewinds to the start of the program and clears any sticky error.
-func (t *ProfileTarget) Reset() { t.pos, t.err = 0, nil }
 
 // Err implements Target.
 func (t *ProfileTarget) Err() error { return t.err }

@@ -49,7 +49,7 @@ func suiteProfile(t *testing.T, name string, ops uint64) *profile.Profile {
 func TestProfileTargetWindows(t *testing.T) {
 	p := suiteProfile(t, "177.mesa", 2_000_000)
 	tgt := NewProfileTarget(p)
-	if tgt.TotalOps() != p.TotalOps || tgt.TrueIPC() != p.TrueIPC() {
+	if tgt.Benchmark() != p.Benchmark || tgt.TrueIPC() != p.TrueIPC() {
 		t.Error("target metadata wrong")
 	}
 	var ops uint64
@@ -83,44 +83,41 @@ func TestProfileTargetAlignmentErrors(t *testing.T) {
 	if err := tgt.Err(); !errors.Is(err, pgsserrors.ErrMisalignedWindow) {
 		t.Errorf("unaligned window: got %v, want ErrMisalignedWindow", err)
 	}
-	// The error is sticky: further calls keep failing...
+	// The error is sticky: further calls keep failing.
 	if _, ok := tgt.NextWindow(10_000, 0, 0); ok {
 		t.Error("target advanced past a sticky error")
 	}
-	// ...and Reset clears it.
-	tgt.Reset()
-	if tgt.Err() != nil {
-		t.Error("Reset did not clear the error")
-	}
-	if _, ok := tgt.NextWindow(10_000, 0, 0); !ok {
-		t.Error("reset target refused an aligned window")
+	if _, ok := NewProfileTarget(p).NextWindow(10_000, 0, 0); !ok {
+		t.Error("fresh target refused an aligned window")
 	}
 }
 
 // TestControllersSurfaceTargetErrors: a misaligned configuration must reach
-// the caller as a structured error from every controller, not a panic or a
-// silent empty result.
+// the caller as a structured error, not a panic or a silent empty result.
+// SMARTS reads only recorded cycles, so its sizes need only the profile's
+// fine alignment.
 func TestControllersSurfaceTargetErrors(t *testing.T) {
 	p := suiteProfile(t, "177.mesa", 2_000_000)
 	cfg := DefaultSMARTSConfig(10)
-	cfg.PeriodOps = 15_000 // not a multiple of BBVOps
-	if _, err := SMARTS(NewProfileTarget(p), cfg); !errors.Is(err, pgsserrors.ErrMisalignedWindow) {
+	cfg.PeriodOps = 15_500 // not a multiple of FineOps
+	if _, err := SMARTS(p, cfg); !errors.Is(err, pgsserrors.ErrMisalignedWindow) {
 		t.Errorf("SMARTS: got %v, want ErrMisalignedWindow", err)
 	}
-	if _, err := Full(NewProfileTarget(p), 15_000); !errors.Is(err, pgsserrors.ErrMisalignedWindow) {
-		t.Errorf("Full: got %v, want ErrMisalignedWindow", err)
+	cfg.PeriodOps = 15_000 // a multiple of FineOps, not of BBVOps
+	if res, err := SMARTS(p, cfg); err != nil || res.Costs.Total() != p.TotalOps {
+		t.Errorf("SMARTS at a fine-aligned period: %+v, %v", res.Costs, err)
 	}
 }
 
 func TestFullReproducesTruthExactly(t *testing.T) {
 	p := suiteProfile(t, "177.mesa", 2_000_000)
-	res, err := Full(NewProfileTarget(p), p.BBVOps)
+	res, err := Full(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The window interface cannot measure the trailing partial window, so
-	// the estimate excludes those few ops; anything beyond that rounding
-	// is an estimator bug.
+	// Full does not measure the trailing partial interval, so the estimate
+	// excludes those few ops; anything beyond that rounding is an
+	// estimator bug.
 	if math.Abs(res.EstimatedIPC-p.TrueIPC())/p.TrueIPC() > 1e-4 {
 		t.Errorf("full simulation estimate %.9f vs truth %.9f", res.EstimatedIPC, p.TrueIPC())
 	}
@@ -132,7 +129,7 @@ func TestFullReproducesTruthExactly(t *testing.T) {
 func TestSMARTSAccurateAndCheap(t *testing.T) {
 	p := suiteProfile(t, "177.mesa", 2_000_000)
 	cfg := DefaultSMARTSConfig(10)
-	res, err := SMARTS(NewProfileTarget(p), cfg)
+	res, err := SMARTS(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +168,7 @@ func TestTurboSMARTSStopsEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _ := SMARTS(NewProfileTarget(p), cfg.SMARTS)
+	full, _ := SMARTS(p, cfg.SMARTS)
 	if res.Samples > full.Samples {
 		t.Errorf("TurboSMARTS used more samples (%d) than SMARTS (%d)", res.Samples, full.Samples)
 	}
@@ -373,7 +370,7 @@ func TestStratifiedAccuracyAndThrift(t *testing.T) {
 		t.Errorf("stratified error %.2f%%", res.ErrorPct())
 	}
 	// The [17] claim: far fewer samples than SMARTS once strata are known.
-	sm, err := SMARTS(NewProfileTarget(p), DefaultSMARTSConfig(10))
+	sm, err := SMARTS(p, DefaultSMARTSConfig(10))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,9 @@ package sampling
 
 import (
 	"fmt"
-	"math"
 
 	"pgss/internal/pgsserrors"
+	"pgss/internal/profile"
 	"pgss/internal/stats"
 )
 
@@ -44,23 +44,23 @@ func (c SMARTSConfig) Validate() error {
 	return nil
 }
 
-// SMARTS runs systematic small-sample simulation over the target. As in
+// SMARTS runs systematic small-sample simulation over the profile. As in
 // the original SMARTS, the estimator works in CPI: sampling positions are
 // uniform in instruction count, which makes the mean of sample CPIs an
 // unbiased estimator of total cycles / total instructions; whole-program
 // IPC is its reciprocal. (Averaging sample IPCs directly would be biased
 // high on any benchmark whose IPC varies.)
-func SMARTS(t Target, cfg SMARTSConfig) (Result, error) {
+func SMARTS(p *profile.Profile, cfg SMARTSConfig) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	res := Result{
 		Technique: "SMARTS",
 		Config:    cfg.String(),
-		Benchmark: t.Benchmark(),
-		TrueIPC:   t.TrueIPC(),
+		Benchmark: p.Benchmark,
+		TrueIPC:   p.TrueIPC(),
 	}
-	cpis, err := smartsPass(t, cfg, &res.Costs)
+	cpis, err := smartsPass(p, cfg, &res.Costs)
 	res.Samples = uint64(len(cpis))
 	if err != nil {
 		return res, err
@@ -75,22 +75,33 @@ func SMARTS(t Target, cfg SMARTSConfig) (Result, error) {
 	return res, nil
 }
 
-// smartsPass walks the SMARTS schedule over the target, charging each
-// window's costs to costs, and returns the sample CPIs in program order:
-// the population SMARTS averages and TurboSMARTS draws from.
-func smartsPass(t Target, cfg SMARTSConfig, costs *Costs) ([]float64, error) {
-	var cpis []float64
-	for {
-		w, ok := t.NextWindow(cfg.PeriodOps, cfg.WarmOps, cfg.SampleOps)
-		if !ok {
-			break
-		}
-		costs.Detailed += w.SampleOps
-		costs.DetailedWarm += w.WarmOps
-		costs.FunctionalWarm += w.Ops - w.SampleOps - w.WarmOps
-		if !math.IsNaN(w.SampleIPC) && w.SampleIPC > 0 {
-			cpis = append(cpis, 1/w.SampleIPC)
-		}
+// smartsPass walks the SMARTS schedule over the profile's recorded cycles,
+// whose granularity its sizes must align to, charging each period's costs
+// to costs, and returns the sample CPIs in program order: the population
+// SMARTS averages and TurboSMARTS draws from. A period without a measured
+// sample runs wholly in functional warming.
+func smartsPass(p *profile.Profile, cfg SMARTSConfig, costs *Costs) ([]float64, error) {
+	if cfg.PeriodOps%p.FineOps != 0 || cfg.WarmOps%p.FineOps != 0 || cfg.SampleOps%p.FineOps != 0 {
+		return nil, pgsserrors.Misalignedf(
+			"sampling: smarts: period %d / warm %d / sample %d not multiples of fine granularity %d",
+			cfg.PeriodOps, cfg.WarmOps, cfg.SampleOps, p.FineOps)
 	}
-	return cpis, t.Err()
+	var cpis []float64
+	for pos := uint64(0); pos < p.TotalOps; pos += cfg.PeriodOps {
+		ops := min(cfg.PeriodOps, p.TotalOps-pos)
+		if cfg.WarmOps+cfg.SampleOps <= ops {
+			ipc, err := p.IPCWindow(pos+cfg.WarmOps, cfg.SampleOps)
+			if err != nil {
+				return cpis, err
+			}
+			if ipc > 0 {
+				costs.Detailed += cfg.SampleOps
+				costs.DetailedWarm += cfg.WarmOps
+				ops -= cfg.WarmOps + cfg.SampleOps
+				cpis = append(cpis, 1/ipc)
+			}
+		}
+		costs.FunctionalWarm += ops
+	}
+	return cpis, nil
 }

@@ -70,7 +70,7 @@ func TurboSMARTS(p *profile.Profile, cfg TurboSMARTSConfig) (Result, error) {
 		cfg.MinSamples = 2
 	}
 	// Checkpoints stand in for the pass, so its costs are not charged.
-	pop, err := smartsPass(NewProfileTarget(p), cfg.SMARTS, new(Costs))
+	pop, err := smartsPass(p, cfg.SMARTS, new(Costs))
 	if err != nil {
 		return Result{}, err
 	}

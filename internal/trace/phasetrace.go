@@ -76,11 +76,7 @@ func PhaseTraces(prog *program.Program, cc cpu.CoreConfig, hash *bbv.Hash,
 
 	// Pass 1: online phase analysis. BBVs need only the retire stream and
 	// this core is discarded, so it fast-forwards without warming.
-	m, err := cpu.NewMachine(prog)
-	if err != nil {
-		return nil, err
-	}
-	core, err := cpu.NewCore(m, cc)
+	core, err := cpu.NewProgramCore(prog, cc)
 	if err != nil {
 		return nil, err
 	}
@@ -124,11 +120,7 @@ func PhaseTraces(prog *program.Program, cc cpu.CoreConfig, hash *bbv.Hash,
 
 	// Pass 2: sequential capture. Fast-forward with warming between
 	// representative intervals, detailed capture within them.
-	m2, err := cpu.NewMachine(prog)
-	if err != nil {
-		return nil, err
-	}
-	core2, err := cpu.NewCore(m2, cc)
+	core2, err := cpu.NewProgramCore(prog, cc)
 	if err != nil {
 		return nil, err
 	}

@@ -61,6 +61,7 @@ var goldenDigests = map[string]map[string]string{
 		"replay/RSS/mav":        "a1a410b3fd0443deed6b70e432eeca26398272e4b3414713173ffd0b7373377f",
 		"replay/SimPoint":       "b73be757e9e13abb87da754d5b77c174d351eed30d6bcb0c5577eadb53195ab2",
 		"replay/OnlineSimPoint": "3023aa4ca4b9b54f853faa590031a982a1a8e15c6431b10922fd9143ffa9a9ea",
+		"replay/Full":           "d87f5ccdd611aa0d14a4b3cfc3e601ffc60cc247b16a53a199e97a7347f7a03d",
 	},
 	"179.art": {
 		"profile":               "870216351070657332d1d7a2e8c27c944be889a02996bebe4bdf98bba14dbe99",
@@ -82,6 +83,7 @@ var goldenDigests = map[string]map[string]string{
 		"replay/RSS/mav":        "f073e00efb1678ac3ea3ff7bbebffa85ee550f3c5dbe15bd22600172b44afd77",
 		"replay/SimPoint":       "3eb7e5ba1232f9a55b9e3cc4f2b8adfab866f09e977bd8b97d7959b3dbabaa0c",
 		"replay/OnlineSimPoint": "26c80907efe346e898baff9911d1788552cd0c99a2c4b6ad1018a5e207831a70",
+		"replay/Full":           "399e6b830cb30b101cb11a821981cfa3ab4abfc92e536a19a78f88a7a81c72b2",
 	},
 	"181.mcf": {
 		"profile":               "b6588d8732912686023e227e2e81b96647aeed64e4fa67fc90d8b4a9114531cc",
@@ -103,6 +105,7 @@ var goldenDigests = map[string]map[string]string{
 		"replay/RSS/mav":        "d97d98f730ae729699997fa9e5729197e0d38f3261ba9190266976350c071866",
 		"replay/SimPoint":       "7f4110c54cd8590446a4f05a86eca023bf92ae22e0e278d6141c0dbcd6d3d198",
 		"replay/OnlineSimPoint": "557af9d11d8a20e2c418df304691f35d0b7bf8152265eb2fbbf8693124c9e57a",
+		"replay/Full":           "0d6d597f645ddea8f47647e10b994ff3b5c379fe70f4868b20caffeb86ab4ffc",
 	},
 }
 
@@ -131,7 +134,7 @@ var goldenPaths = []string{
 	"parallel/live", "phasetraces",
 	"replay/SMARTS", "replay/TurboSMARTS", "replay/Stratified",
 	"replay/2PSS", "replay/2PSS/mav", "replay/RSS", "replay/RSS/mav",
-	"replay/SimPoint", "replay/OnlineSimPoint",
+	"replay/SimPoint", "replay/OnlineSimPoint", "replay/Full",
 }
 
 func digest(write func(w io.Writer) error) (string, error) {
@@ -227,16 +230,16 @@ func windowsDigest(p *profile.Profile) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	b := make(bbv.Vector, 1<<loaded.HashBits)
+	m := make(bbv.Vector, 1<<loaded.MAVBits)
 	return digest(func(w io.Writer) error {
 		word := make([]byte, 8)
 		for _, gran := range []uint64{loaded.BBVOps, 100_000} {
 			for start := uint64(0); start < loaded.TotalOps; start += gran {
-				b, err := loaded.BBVWindow(start, gran)
-				if err != nil {
+				if _, err := loaded.BBVWindowInto(b, start, gran); err != nil {
 					return err
 				}
-				m, err := loaded.MAVWindow(start, gran)
-				if err != nil {
+				if _, err := loaded.MAVWindowInto(m, start, gran); err != nil {
 					return err
 				}
 				for _, v := range []bbv.Vector{b, m} {
@@ -383,7 +386,7 @@ func replayDigests(p *profile.Profile, check func(path, d string, err error)) {
 		}
 		check(path, digestOf(rs...), nil)
 	}
-	res, err := sampling.SMARTS(sampling.NewProfileTarget(p), sampling.DefaultSMARTSConfig(10))
+	res, err := sampling.SMARTS(p, sampling.DefaultSMARTSConfig(10))
 	check("replay/SMARTS", digestOf(res), err)
 	seeded("replay/TurboSMARTS", func(seed int64) (sampling.Result, error) {
 		cfg := sampling.DefaultTurboSMARTSConfig(10)
@@ -418,4 +421,6 @@ func replayDigests(p *profile.Profile, check func(path, d string, err error)) {
 	})
 	res, err = sampling.OnlineSimPoint(p, sampling.OnlineSimPointConfig{IntervalOps: 100_000, ThresholdPi: 0.10})
 	check("replay/OnlineSimPoint", digestOf(res), err)
+	res, err = sampling.Full(p)
+	check("replay/Full", digestOf(res), err)
 }

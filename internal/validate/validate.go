@@ -78,16 +78,6 @@ func DefaultOptions() Options {
 	}
 }
 
-// buildCore constructs a fresh simulator core for prog with the default
-// (paper) machine configuration.
-func buildCore(prog *program.Program) (*cpu.Core, error) {
-	m, err := cpu.NewMachine(prog)
-	if err != nil {
-		return nil, err
-	}
-	return cpu.NewCore(m, cpu.DefaultCoreConfig())
-}
-
 // RunCase executes one case through every engine and returns its result.
 // The returned error marks infrastructure failures (the case could not be
 // built or simulated at all); invariant violations land in the result.
@@ -101,7 +91,7 @@ func RunCase(ctx context.Context, cs *Case, layouts []parallel.Options, live boo
 	if err != nil {
 		return cr, fmt.Errorf("validate: case %d: build: %w", cs.Seed, err)
 	}
-	oracleCore, err := buildCore(prog)
+	oracleCore, err := cpu.NewProgramCore(prog, cpu.DefaultCoreConfig())
 	if err != nil {
 		return cr, fmt.Errorf("validate: case %d: core: %w", cs.Seed, err)
 	}
@@ -250,7 +240,7 @@ const liveReplayTolerance = 0.01
 // liveReplayTolerance of the serial replay estimate, and the single-shard
 // live run is the reference for every other shard layout.
 func checkLive(ctx context.Context, cr *CaseResult, prog *program.Program, p *profile.Profile, hash *bbv.Hash, cfg core.Config, layouts []parallel.Options, replay sampling.Result) error {
-	rec, err := buildCore(prog)
+	rec, err := cpu.NewProgramCore(prog, cpu.DefaultCoreConfig())
 	if err != nil {
 		return err
 	}

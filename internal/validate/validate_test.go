@@ -9,6 +9,7 @@ import (
 
 	"pgss/internal/bbv"
 	"pgss/internal/core"
+	"pgss/internal/cpu"
 	"pgss/internal/parallel"
 	"pgss/internal/profile"
 	"pgss/internal/sampling"
@@ -106,7 +107,7 @@ func TestCheckAccountingDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := buildCore(prog)
+	c, err := cpu.NewProgramCore(prog, cpu.DefaultCoreConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

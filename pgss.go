@@ -11,21 +11,22 @@
 //	spec, _ := pgss.Benchmark("164.gzip")
 //	// One detailed pass records the truth and everything replay needs.
 //	prof, _ := pgss.Record(ctx, spec, 10_000_000, pgss.DefaultCoreConfig())
-//	res, st, _ := pgss.RunPGSS(ctx, pgss.NewTarget(prof), pgss.DefaultPGSSConfig(pgss.DefaultScale))
+//	res, st, _ := pgss.RunPGSS(ctx, pgss.NewSource(prof),
+//		pgss.DefaultPGSSConfig(pgss.DefaultScale), pgss.ParallelOptions{})
 //	fmt.Printf("true %.3f est %.3f err %.2f%% with %d detailed ops (%d phases)\n",
 //		res.TrueIPC, res.EstimatedIPC, res.ErrorPct(),
 //		res.Costs.DetailedTotal(), st.Phases)
 //
 // # Engines
 //
-// Each PGSS engine has one context-first entry point. RunPGSS drives the
-// serial engine over a Target, a recorded profile (NewTarget).
-// RunPGSSParallel drives the sharded engine over a Source: a profile
-// (NewSource) or a live simulation through a checkpoint library
-// (NewLiveSource); its result is invariant to the concurrency setting.
-// RunAdaptivePGSS runs the runtime-adaptive variant on the serial engine.
-// Cancellation or deadline expiry stops any of them between windows with
-// an ErrBudgetExceeded-classed error carrying the partial statistics.
+// RunPGSS, the one PGSS entry point, drives the checkpoint-sharded engine
+// over a Source: a recorded profile (NewSource) or a live simulation
+// through a checkpoint library (NewLiveSource). Its result is invariant to
+// the concurrency setting and, over a profile, equals the serial replay
+// engine's. RunAdaptivePGSS runs the runtime-adaptive variant on the serial
+// engine over a profile. Cancellation or deadline expiry stops either
+// between windows with an ErrBudgetExceeded-classed error carrying the
+// partial statistics.
 //
 // All window parameters (sampling periods, interval sizes, the spread
 // rule) are the paper's values divided by a scale factor; DefaultScale=10
@@ -100,8 +101,6 @@ type (
 	Result = sampling.Result
 	// Costs tallies simulated ops by execution mode.
 	Costs = sampling.Costs
-	// Target is an execution a sequential sampling controller drives.
-	Target = sampling.Target
 	// PGSSConfig parameterises PGSS-Sim.
 	PGSSConfig = core.Config
 	// PGSSStats carries PGSS-specific diagnostics.
@@ -155,20 +154,11 @@ func Record(ctx context.Context, spec *WorkloadSpec, totalOps uint64, cc CoreCon
 
 // RecordProgram is Record for an arbitrary program.
 func RecordProgram(ctx context.Context, prog *Program, cc CoreConfig) (*Profile, error) {
-	c, err := newCore(prog, cc)
+	c, err := cpu.NewProgramCore(prog, cc)
 	if err != nil {
 		return nil, err
 	}
 	return profile.RecordContext(ctx, c, defaultHash(), profile.DefaultConfig())
-}
-
-// newCore builds a fresh core running prog on the processor cc.
-func newCore(prog *Program, cc CoreConfig) (*cpu.Core, error) {
-	m, err := cpu.NewMachine(prog)
-	if err != nil {
-		return nil, err
-	}
-	return cpu.NewCore(m, cc)
 }
 
 // defaultHashSeed fixes the BBV and MAV hash bit selections across the
@@ -179,19 +169,9 @@ func defaultHash() *bbv.Hash { return bbv.MustNewHash(bbv.DefaultHashBits, defau
 
 func defaultMAVHash() *bbv.Hash { return bbv.MustNewMAVHash(bbv.DefaultMAVBits, defaultHashSeed) }
 
-// NewTarget wraps a profile as a replay target for the sequential
-// controllers (PGSS, SMARTS, Full).
-func NewTarget(p *Profile) Target { return sampling.NewProfileTarget(p) }
-
 // DefaultPGSSConfig returns the paper's best overall PGSS configuration
 // (1M-op BBV period, .05π threshold) at the given scale.
 func DefaultPGSSConfig(scale uint64) PGSSConfig { return core.DefaultConfig(scale) }
-
-// RunPGSS runs Phase-Guided Small-Sample Simulation over a target on the
-// serial engine.
-func RunPGSS(ctx context.Context, t Target, cfg PGSSConfig) (Result, PGSSStats, error) {
-	return core.RunContext(ctx, t, cfg)
-}
 
 type (
 	// Source is an execution the parallel engine can shard: window
@@ -204,8 +184,8 @@ type (
 	ParallelOptions = parallel.Options
 )
 
-// NewSource wraps a profile as a parallel-engine source. PGSS over it is
-// bit-identical to RunPGSS over NewTarget of the same profile.
+// NewSource wraps a profile as a replay source. PGSS over it is
+// bit-identical to the serial replay engine over the same profile.
 func NewSource(p *Profile) Source { return parallel.NewProfileSource(p) }
 
 // NewLiveSource drives fresh simulations of prog through a checkpoint
@@ -224,9 +204,10 @@ func NewLiveSource(lib *CheckpointLibrary, prog *Program, cc CoreConfig, totalOp
 	return src, nil
 }
 
-// RunPGSSParallel runs PGSS over a source on the checkpoint-sharded
-// parallel engine. The result is the same for every concurrency setting.
-func RunPGSSParallel(ctx context.Context, src Source, cfg PGSSConfig, opts ParallelOptions) (Result, PGSSStats, error) {
+// RunPGSS runs Phase-Guided Small-Sample Simulation over a source on the
+// checkpoint-sharded engine. The result is the same for every concurrency
+// setting.
+func RunPGSS(ctx context.Context, src Source, cfg PGSSConfig, opts ParallelOptions) (Result, PGSSStats, error) {
 	return parallel.Run(ctx, src, cfg, opts)
 }
 
@@ -236,9 +217,10 @@ func DefaultSMARTSConfig(scale uint64) SMARTSConfig {
 	return sampling.DefaultSMARTSConfig(scale)
 }
 
-// RunSMARTS runs SMARTS systematic sampling over a target.
-func RunSMARTS(t Target, cfg SMARTSConfig) (Result, error) {
-	return sampling.SMARTS(t, cfg)
+// RunSMARTS runs SMARTS systematic sampling over a profile; the sizes in
+// cfg must be multiples of the profile's fine granularity.
+func RunSMARTS(p *Profile, cfg SMARTSConfig) (Result, error) {
+	return sampling.SMARTS(p, cfg)
 }
 
 // DefaultTurboSMARTSConfig returns the paper's TurboSMARTS setup at the
@@ -287,10 +269,10 @@ func RunStratified(p *Profile, cfg StratifiedConfig) (Result, error) {
 	return sampling.Stratified(p, cfg)
 }
 
-// RunFull runs the ground-truth full detailed simulation through the
-// sampling interface; its estimate equals the profile's true IPC.
+// RunFull runs the ground-truth full detailed simulation over a profile;
+// its estimate equals the profile's true IPC.
 func RunFull(p *Profile) (Result, error) {
-	return sampling.Full(sampling.NewProfileTarget(p), p.BBVOps)
+	return sampling.Full(p)
 }
 
 // Successor techniques and signature channels (beyond the paper's
@@ -373,9 +355,9 @@ func DefaultAdaptiveConfig(scale uint64) AdaptiveConfig {
 
 // RunAdaptivePGSS runs the runtime-adaptive PGSS variant (the paper's §7:
 // parameters "automatically adjusted to each benchmark ... at runtime")
-// over a target on the serial engine.
-func RunAdaptivePGSS(ctx context.Context, t Target, cfg AdaptiveConfig) (Result, AdaptiveStats, error) {
-	return core.RunAdaptive(ctx, t, cfg)
+// over a profile on the serial engine.
+func RunAdaptivePGSS(ctx context.Context, p *Profile, cfg AdaptiveConfig) (Result, AdaptiveStats, error) {
+	return core.RunAdaptive(ctx, sampling.NewProfileTarget(p), cfg)
 }
 
 // DefaultCMPConfig replicates the paper's core around one shared L2.
@@ -397,7 +379,7 @@ func RecordCMP(progs []*Program, cfg CMPConfig) ([]*Profile, error) {
 // library then provides random access into the run (see Library.Seek and
 // Library.SampleAt).
 func RecordCheckpoints(prog *Program, cc CoreConfig, strideOps uint64) (*CheckpointLibrary, error) {
-	c, err := newCore(prog, cc)
+	c, err := cpu.NewProgramCore(prog, cc)
 	if err != nil {
 		return nil, err
 	}
@@ -408,7 +390,7 @@ func RecordCheckpoints(prog *Program, cc CoreConfig, strideOps uint64) (*Checkpo
 // against the same program and configuration the library was recorded
 // with.
 func NewCheckpointWorker(prog *Program, cc CoreConfig) (*cpu.Core, error) {
-	return newCore(prog, cc)
+	return cpu.NewProgramCore(prog, cc)
 }
 
 // PhaseTrace is one phase's cycle-close representative trace.

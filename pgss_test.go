@@ -42,7 +42,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if p.TrueIPC() <= 0 {
 		t.Fatal("no IPC recorded")
 	}
-	res, st, err := pgss.RunPGSS(context.Background(), pgss.NewTarget(p), pgss.DefaultPGSSConfig(pgss.DefaultScale))
+	res, st, err := pgss.RunPGSS(context.Background(), pgss.NewSource(p), pgss.DefaultPGSSConfig(pgss.DefaultScale), pgss.ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestAllTechniquesThroughFacade(t *testing.T) {
 	if res, err := pgss.RunFull(p); err != nil || math.Abs(res.EstimatedIPC-p.TrueIPC())/p.TrueIPC() > 1e-3 {
 		t.Errorf("full: %v %v", res, err)
 	}
-	if res, err := pgss.RunSMARTS(pgss.NewTarget(p), pgss.DefaultSMARTSConfig(scale)); err != nil || res.ErrorPct() > 10 {
+	if res, err := pgss.RunSMARTS(p, pgss.DefaultSMARTSConfig(scale)); err != nil || res.ErrorPct() > 10 {
 		t.Errorf("smarts: %v %v", res, err)
 	}
 	if res, err := pgss.RunTurboSMARTS(p, pgss.DefaultTurboSMARTSConfig(scale)); err != nil || res.Samples == 0 {
@@ -107,11 +107,11 @@ func TestLiveParallelThroughFacade(t *testing.T) {
 	cfg := pgss.DefaultPGSSConfig(pgss.DefaultScale)
 	cfg.Channel = pgss.ChannelBoth
 	ctx := context.Background()
-	one, oneSt, err := pgss.RunPGSSParallel(ctx, src, cfg, pgss.ParallelOptions{Shards: 1, SampleWorkers: 1})
+	one, oneSt, err := pgss.RunPGSS(ctx, src, cfg, pgss.ParallelOptions{Shards: 1, SampleWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, fourSt, err := pgss.RunPGSSParallel(ctx, src, cfg, pgss.ParallelOptions{Shards: 4, SampleWorkers: 4})
+	four, fourSt, err := pgss.RunPGSS(ctx, src, cfg, pgss.ParallelOptions{Shards: 4, SampleWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestDesignSpaceRankingPreserved(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := pgss.RunPGSS(context.Background(), pgss.NewTarget(prof), pgss.DefaultPGSSConfig(pgss.DefaultScale))
+		res, _, err := pgss.RunPGSS(context.Background(), pgss.NewSource(prof), pgss.DefaultPGSSConfig(pgss.DefaultScale), pgss.ParallelOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestPhaseTracesThroughFacade(t *testing.T) {
 
 func TestAdaptiveThroughFacade(t *testing.T) {
 	p := record(t, "164.gzip", 15_000_000)
-	res, ast, err := pgss.RunAdaptivePGSS(context.Background(), pgss.NewTarget(p), pgss.DefaultAdaptiveConfig(pgss.DefaultScale))
+	res, ast, err := pgss.RunAdaptivePGSS(context.Background(), p, pgss.DefaultAdaptiveConfig(pgss.DefaultScale))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,6 +242,18 @@ func TestCMPThroughFacade(t *testing.T) {
 	}
 	if len(profs) != 2 || profs[0].TrueIPC() <= 0 || profs[1].TrueIPC() <= 0 {
 		t.Errorf("CMP profiles wrong: %v", profs)
+	}
+	// The per-core profiles carry both signature channels, so PGSS
+	// classifies them on either.
+	for _, ch := range []pgss.Channel{pgss.ChannelMAV, pgss.ChannelBoth} {
+		cfg := pgss.DefaultPGSSConfig(pgss.DefaultScale)
+		cfg.Channel = ch
+		for _, p := range profs {
+			res, st, err := pgss.RunPGSS(context.Background(), pgss.NewSource(p), cfg, pgss.ParallelOptions{})
+			if err != nil || res.Samples == 0 || st.Phases == 0 {
+				t.Errorf("PGSS on %s's CMP profile, channel %v: %v %v", p.Benchmark, ch, res, err)
+			}
+		}
 	}
 }
 
@@ -315,12 +327,12 @@ func TestMalformedProgramsClassified(t *testing.T) {
 			return err
 		}},
 		{"EstimateIPCFromTraces(none)", func() error { _, err := pgss.EstimateIPCFromTraces(nil, cc); return err }},
-		{"RunPGSSParallel(smaller BTB than the library's)", func() error {
+		{"RunPGSS(smaller BTB than the library's)", func() error {
 			src, err := pgss.NewLiveSource(lib, prog, smallBTB, 200_000, 0)
 			if err != nil {
 				return err
 			}
-			_, _, err = pgss.RunPGSSParallel(ctx, src, pgss.DefaultPGSSConfig(10), pgss.ParallelOptions{Shards: 1, SampleWorkers: 1})
+			_, _, err = pgss.RunPGSS(ctx, src, pgss.DefaultPGSSConfig(10), pgss.ParallelOptions{Shards: 1, SampleWorkers: 1})
 			return err
 		}},
 	}
