@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -9,7 +10,21 @@ import (
 func smallCache(t *testing.T) *Cache {
 	t.Helper()
 	// 4 sets × 2 ways × 64 B lines = 512 B.
-	return MustNew(Config{Name: "t", SizeBytes: 512, Ways: 2, LineBytes: 64})
+	c, err := New(Config{Name: "t", SizeBytes: 512, Ways: 2, LineBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// defaultHierarchy builds the paper-configured hierarchy.
+func defaultHierarchy(t *testing.T) *Hierarchy {
+	t.Helper()
+	h, err := NewHierarchy(DefaultHierarchyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 func TestGeometryValidation(t *testing.T) {
@@ -26,8 +41,8 @@ func TestGeometryValidation(t *testing.T) {
 		}
 	}
 	c := smallCache(t)
-	if c.Sets() != 4 || c.Ways() != 2 || c.LineBytes() != 64 {
-		t.Errorf("geometry: sets=%d ways=%d line=%d", c.Sets(), c.Ways(), c.LineBytes())
+	if c.sets != 4 || c.Ways() != 2 || c.LineBytes() != 64 {
+		t.Errorf("geometry: sets=%d ways=%d line=%d", c.sets, c.Ways(), c.LineBytes())
 	}
 }
 
@@ -108,6 +123,41 @@ func TestFlush(t *testing.T) {
 	}
 }
 
+// TestHitsMatchesAccesses checks Hits against repeated read accesses: on
+// a resident line, whether or not the last access touched it, Hits(addr, n)
+// must leave the State that n more Access(addr, false) calls leave, and on
+// a line that is not resident it must charge nothing.
+func TestHitsMatchesAccesses(t *testing.T) {
+	hits, accesses := smallCache(t), smallCache(t)
+	for _, c := range []*Cache{hits, accesses} {
+		c.Access(0x0000, true)
+		c.Access(0x0100, false) // same set as 0x0000
+		c.Access(0x0040, false)
+	}
+	for _, step := range []struct {
+		addr, n uint64
+	}{
+		{0x0048, 3}, // the line accessed last
+		{0x0010, 2}, // an older line in another set
+		{0x0104, 1},
+		{0x0000, 0},
+	} {
+		hits.Hits(step.addr, step.n)
+		for range step.n {
+			accesses.Access(step.addr, false)
+		}
+		if !reflect.DeepEqual(hits.Snapshot(), accesses.Snapshot()) {
+			t.Fatalf("Hits(%#x, %d): state %+v, %d accesses give %+v",
+				step.addr, step.n, hits.Snapshot(), step.n, accesses.Snapshot())
+		}
+	}
+	before := hits.Snapshot()
+	hits.Hits(0x0200, 5) // not resident
+	if !reflect.DeepEqual(hits.Snapshot(), before) {
+		t.Errorf("Hits on a line that is not resident changed the state")
+	}
+}
+
 func TestContainsDoesNotDisturb(t *testing.T) {
 	c := smallCache(t)
 	c.Access(0x0000, false)
@@ -131,7 +181,10 @@ func TestContainsDoesNotDisturb(t *testing.T) {
 func TestPropertyWorkingSetRetention(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := MustNew(Config{Name: "p", SizeBytes: 2048, Ways: 4, LineBytes: 64})
+		c, err := New(Config{Name: "p", SizeBytes: 2048, Ways: 4, LineBytes: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
 		// 8 sets; pick one set and W distinct lines in it.
 		set := uint64(rng.Intn(8))
 		lines := make([]uint64, 4)
@@ -174,7 +227,7 @@ func TestPropertyAccessInvariants(t *testing.T) {
 }
 
 func TestHierarchyLatencies(t *testing.T) {
-	h := DefaultHierarchy()
+	h := defaultHierarchy(t)
 	// Cold load: memory latency.
 	if lat := h.Load(0x5000); lat != h.Lat.Mem {
 		t.Errorf("cold load latency %d, want %d", lat, h.Lat.Mem)
@@ -189,7 +242,7 @@ func TestHierarchyLatencies(t *testing.T) {
 }
 
 func TestHierarchyL2Hit(t *testing.T) {
-	h := DefaultHierarchy()
+	h := defaultHierarchy(t)
 	h.Load(0x5000)
 	// Evict from L1 by filling its set (L1D: 64KB/4way/64B = 256 sets →
 	// same set every 16 KB).
@@ -205,7 +258,7 @@ func TestHierarchyL2Hit(t *testing.T) {
 }
 
 func TestHierarchySplitIAndD(t *testing.T) {
-	h := DefaultHierarchy()
+	h := defaultHierarchy(t)
 	h.Fetch(0x9000)
 	if h.L1D.Contains(0x9000) {
 		t.Error("instruction fetch landed in L1D")
@@ -220,7 +273,7 @@ func TestHierarchySplitIAndD(t *testing.T) {
 }
 
 func TestHierarchyDirtyL1VictimGoesToL2(t *testing.T) {
-	h := DefaultHierarchy()
+	h := defaultHierarchy(t)
 	h.Store(0x5000)
 	for i := 1; i <= 4; i++ {
 		h.Load(0x5000 + uint64(i)*16*1024)
@@ -232,7 +285,7 @@ func TestHierarchyDirtyL1VictimGoesToL2(t *testing.T) {
 }
 
 func TestHierarchyFlush(t *testing.T) {
-	h := DefaultHierarchy()
+	h := defaultHierarchy(t)
 	h.Load(0x5000)
 	h.Flush()
 	if h.L1D.Contains(0x5000) || h.L2.Contains(0x5000) || h.MemAccesses != 0 {

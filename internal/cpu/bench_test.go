@@ -55,8 +55,9 @@ func BenchmarkCoreStepDetailed(b *testing.B) {
 	stepLoop(b, cpu.DefaultCoreConfig(), (*cpu.Core).StepDetailed)
 }
 
-// BenchmarkCoreStepWarm measures the functional-warming loop — the cost
-// unit of fast-forwarding, the bulk of every PGSS run.
+// BenchmarkCoreStepWarm measures per-op functional warming, the reference
+// the warming loop is tested against. Checkpoint recording and sample
+// seeks warm through Core.Run instead (BenchmarkCoreRunWarm).
 func BenchmarkCoreStepWarm(b *testing.B) {
 	stepLoop(b, cpu.DefaultCoreConfig(), (*cpu.Core).StepWarm)
 }
@@ -122,6 +123,36 @@ func BenchmarkCoreRunFF(b *testing.B) {
 				n := c.Run(want, cpu.FastForward, tracker, nil)
 				tracker.TakeVectorInto(vec)
 				tracker.DropPending()
+				if n < want {
+					b.StopTimer()
+					c.M.Reset()
+					b.StartTimer()
+				}
+				done += n
+			}
+		})
+	}
+}
+
+// BenchmarkCoreRunWarm measures functional warming as checkpoint recording
+// and a live sample's seek drive it: Core.Run in FunctionalWarming over
+// 100k-op cuts with no tracker attached. ns/op is per retired instruction,
+// so it compares directly with BenchmarkCoreStepWarmBlock. 181.mcf has the
+// most data-cache misses of the three programs.
+func BenchmarkCoreRunWarm(b *testing.B) {
+	const cutOps = 100_000
+	for _, name := range []string{"177.mesa", "188.ammp", "181.mcf"} {
+		prog := benchProgram(b, name)
+		b.Run(name, func(b *testing.B) {
+			c, err := cpu.NewCore(cpu.MustNewMachine(prog), cpu.DefaultCoreConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := uint64(0); done < uint64(b.N); {
+				want := min(uint64(b.N)-done, cutOps)
+				n := c.Run(want, cpu.FunctionalWarming, nil, nil)
 				if n < want {
 					b.StopTimer()
 					c.M.Reset()

@@ -5,7 +5,7 @@ import (
 	"pgss/internal/isa"
 )
 
-// BlockOps is the batch size in which Core.Run steps the record modes.
+// BlockOps is the batch size in which Core.Run steps detailed simulation.
 // Large enough to amortise dispatch into the superblock interpreter, small
 // enough that a batch of Retired records (512 × 64 B = 32 KiB) stays
 // cache-resident.
@@ -15,8 +15,9 @@ const BlockOps = 512
 // it on first use. The buffer is owned by whoever is driving the core: a
 // Core is single-goroutine at a time (the parallel engine gives every shard
 // and sample worker its own Core), so one scratch buffer per core is safe
-// and keeps the hot loops allocation-free. Fast-forward writes no records,
-// so a core that only fast-forwards never allocates it.
+// and keeps the hot loops allocation-free. Fast-forward and functional
+// warming write no records, so a core that never runs detailed never
+// allocates it.
 func (c *Core) BlockBuf() []Retired {
 	if c.block == nil {
 		c.block = make([]Retired, BlockOps)
@@ -37,9 +38,11 @@ const (
 	// BBV and MAV of the retire stream and discard the core's
 	// microarchitectural state afterwards.
 	FastForward Mode = iota
-	// FunctionalWarming also warms the caches and branch predictors from
-	// the retire stream, charging no cycles (StepWarmBlock): the
-	// fast-forward of SMARTS and PGSS, which take samples in place.
+	// FunctionalWarming also warms the caches and branch predictors as
+	// per-op StepWarm does, charging no cycles, through a second
+	// record-free loop that fetches each I-cache line once per run of ops
+	// in it: the fast-forward of SMARTS and PGSS, which take samples in
+	// place, and of checkpoint recording and seeks.
 	FunctionalWarming
 	// Detailed runs the full timing model (StepDetailedBlock).
 	Detailed
@@ -56,24 +59,23 @@ const (
 // branch included, which accumulates exactly like per-op RetireOps(1)
 // calls (integer op counts are exact in float64). Ops retired since the
 // last taken branch stay pending in t for the caller's next period.
-// FastForward runs all n ops in one call to the interpreter's record-free
-// loop; the other modes step in BlockOps superblock batches whose records
-// feed the caches or the timing model and then the trackers.
+// FastForward and FunctionalWarming each run all n ops in one call to
+// their own record-free loop, which charges the trackers itself. Detailed
+// steps in BlockOps superblock batches whose records feed the timing model
+// and then the trackers.
 func (c *Core) Run(n uint64, mode Mode, t *bbv.Tracker, mav *bbv.MAVTracker) uint64 {
-	var step func(*Core, []Retired) int
 	switch mode {
 	case FastForward:
 		return c.M.runFF(n, t, mav)
 	case FunctionalWarming:
-		step = (*Core).StepWarmBlock
+		return c.runWarm(n, t, mav)
 	case Detailed:
-		step = (*Core).StepDetailedBlock
 	}
 	buf := c.BlockBuf()
 	var done, run uint64
 	for done < n {
 		chunk := min(n-done, uint64(len(buf)))
-		k := step(c, buf[:chunk])
+		k := c.StepDetailedBlock(buf[:chunk])
 		if t != nil || mav != nil {
 			for i := range buf[:k] {
 				r := &buf[i]
@@ -103,7 +105,9 @@ func (c *Core) Run(n uint64, mode Mode, t *bbv.Tracker, mav *bbv.MAVTracker) uin
 // mode. The machine runs a superblock batch first, then the cache and
 // branch state are warmed from the recorded retire stream; warming never
 // feeds back into architectural execution, so the interleaving change is
-// unobservable and the final state matches per-op StepWarm exactly.
+// unobservable and the final state matches per-op StepWarm exactly. It is
+// the block-level reference for warming; Core.Run warms through its own
+// record-free loop instead.
 func (c *Core) StepWarmBlock(buf []Retired) int {
 	n := c.M.StepBlock(buf)
 	for i := range buf[:n] {

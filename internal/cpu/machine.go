@@ -9,11 +9,13 @@
 // PageWords-word pages: a snapshot copies only the pages stored to and
 // changed since the machine's previous snapshot or restore, and shares the
 // rest with it; a restore copies only the pages that differ from what the
-// machine holds. Machine.Step is the per-op reference. Two batched loops
+// machine holds. Machine.Step is the per-op reference. Three batched loops
 // retire whole straight-line runs at a time (superblock.go): StepBlock
-// writes a retire record per op, and plain fast-forward's loop writes none
-// and feeds the BBV and MAV trackers directly. The timing model (Timing)
-// consumes the retire stream and owns all microarchitectural state. Core
+// writes a retire record per op for detailed simulation; plain
+// fast-forward's loop and functional warming's loop write none and feed
+// the BBV and MAV trackers directly, and the warming loop also warms the
+// caches and branch unit as it goes. The timing model (Timing) consumes
+// the retire stream and owns all microarchitectural state. Core
 // combines them and exposes the three execution modes every
 // sampled-simulation technique is built from: plain fast-forward,
 // functional warming, and detailed simulation (the values of Mode, which
