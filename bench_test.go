@@ -341,9 +341,12 @@ func BenchmarkCampaignMacro(b *testing.B) {
 // over the six well-phased programs at scale 10 and 20M ops, as the
 // benchmark module's live-phased workload does, and reports simulated
 // Mops/s. The profiles and checkpoint libraries are recorded before the
-// timer starts; `make profile PROFILE_BENCH=BenchmarkLivePhased` profiles
-// it, and pprof's -focus 'CampaignRun|internal/parallel\.' keeps only the
-// runs' samples.
+// timer starts. The libraries stop at the build target, and warm seeks
+// past their end keep checkpoints there (checkpoint.Library.Seek), so
+// later iterations start those seeks from the checkpoints the first one
+// kept. `make profile PROFILE_BENCH=BenchmarkLivePhased` profiles it, and
+// pprof's -focus 'CampaignRun|internal/parallel\.' keeps only the runs'
+// samples.
 func BenchmarkLivePhased(b *testing.B) {
 	benchLive(b, "164.gzip", "177.mesa", "183.equake", "188.ammp", "256.bzip2", "300.twolf")
 }

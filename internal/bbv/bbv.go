@@ -282,9 +282,3 @@ func (t *Tracker) TakenBranch(addr uint64) {
 // depends only on the window's own retire stream — making the vectors
 // invariant to how the stream is split into shards.
 func (t *Tracker) DropPending() { t.pending = 0 }
-
-// Reset clears all accumulated state.
-func (t *Tracker) Reset() {
-	clear(t.regs)
-	t.pending = 0
-}

@@ -299,21 +299,6 @@ func TestPropertyRawAdditivity(t *testing.T) {
 	}
 }
 
-func TestTrackerReset(t *testing.T) {
-	h := MustNewHash(5, 42)
-	tr := NewTracker(h)
-	tr.RetireOps(3)
-	tr.TakenBranch(0x4000)
-	tr.RetireOps(2)
-	tr.Reset()
-	raw := Vector(tr.AppendRaw(nil))
-	for _, x := range raw {
-		if x != 0 {
-			t.Error("reset incomplete")
-		}
-	}
-}
-
 func TestTakeVectorNormalized(t *testing.T) {
 	h := MustNewHash(5, 42)
 	tr := NewTracker(h)

@@ -51,6 +51,3 @@ func NewMAVTracker(h *Hash) *MAVTracker { return &MAVTracker{newCounters(h)} }
 
 // Access charges one memory access at the given data address.
 func (t *MAVTracker) Access(addr uint64) { t.regs[t.hash.Index(addr)]++ }
-
-// Reset clears all accumulated counts.
-func (t *MAVTracker) Reset() { clear(t.regs) }

@@ -70,13 +70,6 @@ func TestMAVTrackerCountsAndReset(t *testing.T) {
 			t.Fatalf("bucket %d not cleared: %g", i, x)
 		}
 	}
-	tr.Access(0x40)
-	tr.Reset()
-	for i, x := range tr.AppendRaw(nil) {
-		if x != 0 {
-			t.Fatalf("bucket %d survived Reset: %g", i, x)
-		}
-	}
 }
 
 func TestMAVTrackerTakeVectorNormalised(t *testing.T) {

@@ -268,15 +268,6 @@ func NewUnit(cfg Config) (*Unit, error) {
 	return &Unit{dir: dir, btb: btb, ras: NewRAS(cfg.RASDepth)}, nil
 }
 
-// MustNewUnit is NewUnit that panics on error.
-func MustNewUnit(cfg Config) *Unit {
-	u, err := NewUnit(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return u
-}
-
 // Stats returns a copy of the outcome counters.
 func (u *Unit) Stats() Stats { return u.stats }
 

@@ -188,8 +188,18 @@ func TestPropertyRASStack(t *testing.T) {
 	}
 }
 
+// newUnit builds a prediction unit of the default configuration.
+func newUnit(t *testing.T) *Unit {
+	t.Helper()
+	u, err := NewUnit(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
 func TestUnitBranchAccounting(t *testing.T) {
-	u := MustNewUnit(DefaultConfig())
+	u := newUnit(t)
 	// First taken branch: direction predictors start weakly not-taken →
 	// mispredict.
 	if !u.Branch(0x4000, true, 0x5000) {
@@ -212,7 +222,7 @@ func TestUnitBranchAccounting(t *testing.T) {
 }
 
 func TestUnitTargetMiss(t *testing.T) {
-	u := MustNewUnit(DefaultConfig())
+	u := newUnit(t)
 	// Train direction taken with target A.
 	for i := 0; i < 5; i++ {
 		u.Branch(0x4000, true, 0xA000)
@@ -224,7 +234,7 @@ func TestUnitTargetMiss(t *testing.T) {
 }
 
 func TestUnitCallReturn(t *testing.T) {
-	u := MustNewUnit(DefaultConfig())
+	u := newUnit(t)
 	u.Call(0x4000, 0x8000, 0x4004)
 	if mis := u.Return(0x8010, 0x4004); mis {
 		t.Error("matched return mispredicted")
@@ -237,7 +247,7 @@ func TestUnitCallReturn(t *testing.T) {
 }
 
 func TestUnitJumpColdThenWarm(t *testing.T) {
-	u := MustNewUnit(DefaultConfig())
+	u := newUnit(t)
 	if !u.Jump(0x4000, 0x7000) {
 		t.Error("cold jump hit BTB")
 	}

@@ -17,11 +17,19 @@
 // turning the sequential simulator into the random-access sample source that
 // TurboSMARTS-style random-order sampling — and live-point-accelerated PGSS
 // — needs.
+//
+// A library recorded with a maxOps short of its program's end keeps, in
+// memory, the checkpoints that warm seeks capture at the stride multiples
+// past its last recorded one (its tail), so each op past the end is warmed
+// once per library rather than once per seek. Restore is bit-identical to
+// continuous simulation, so every tail checkpoint equals the one a longer
+// recording holds. The tail is never saved.
 package checkpoint
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"pgss/internal/branch"
 	"pgss/internal/cache"
@@ -85,6 +93,13 @@ func (ck *Checkpoint) Restore(c *cpu.Core) error {
 type Library struct {
 	checkpoints []*Checkpoint
 	strideOps   uint64
+
+	// mu guards tail: the checkpoints warm seeks captured at the stride
+	// multiples past the last recorded checkpoint, sorted and gap-free. A
+	// run's shards and sample workers, and a campaign's jobs, seek one
+	// library concurrently.
+	mu   sync.Mutex
+	tail []*Checkpoint
 }
 
 // Record runs the core in functional-warming mode to completion (or
@@ -123,21 +138,49 @@ func Record(c *cpu.Core, strideOps, maxOps uint64) (*Library, error) {
 	return lib, nil
 }
 
-// Len returns the number of stored checkpoints.
+// Len returns the number of recorded checkpoints, which Save writes; the
+// tail's are not counted.
 func (l *Library) Len() int { return len(l.checkpoints) }
 
 // StrideOps returns the recording stride.
 func (l *Library) StrideOps() uint64 { return l.strideOps }
 
-// Nearest returns the checkpoint with the greatest op position ≤ pos.
+// Nearest returns the recorded or tail checkpoint with the greatest op
+// position ≤ pos.
 func (l *Library) Nearest(pos uint64) *Checkpoint {
-	i := sort.Search(len(l.checkpoints), func(i int) bool {
-		return l.checkpoints[i].Ops > pos
+	cks := l.checkpoints
+	if pos > l.last().Ops {
+		l.mu.Lock()
+		if len(l.tail) > 0 && l.tail[0].Ops <= pos {
+			cks = l.tail
+		}
+		l.mu.Unlock()
+	}
+	i := sort.Search(len(cks), func(i int) bool {
+		return cks[i].Ops > pos
 	})
 	if i == 0 {
-		return l.checkpoints[0]
+		return cks[0]
 	}
-	return l.checkpoints[i-1]
+	return cks[i-1]
+}
+
+// last returns the last recorded checkpoint.
+func (l *Library) last() *Checkpoint { return l.checkpoints[len(l.checkpoints)-1] }
+
+// keep appends ck to the tail when it lies past the tail's end. A racing
+// seek may have appended the same position first; its checkpoint is
+// identical, so ck is dropped.
+func (l *Library) keep(ck *Checkpoint) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	end := l.last()
+	if n := len(l.tail); n > 0 {
+		end = l.tail[n-1]
+	}
+	if ck.Ops > end.Ops {
+		l.tail = append(l.tail, ck)
+	}
 }
 
 // Seek restores the nearest checkpoint at or below pos into the core and
@@ -149,6 +192,12 @@ func (l *Library) Nearest(pos uint64) *Checkpoint {
 // needs; cpu.FastForward restores only the machine and leaves the caches,
 // predictor and timing model as the core held them, for callers that use
 // only the retire stream from pos on.
+//
+// From the last recorded checkpoint or a tail one, a warm seek steps one
+// stride at a time and keeps a checkpoint in the tail at every stride it
+// completes, as Record would have captured with no maxOps; later seeks of
+// either mode start from it. A fast-forward seek holds no warm state and
+// adds nothing.
 func (l *Library) Seek(c *cpu.Core, pos uint64, mode cpu.Mode) (seekOps uint64, err error) {
 	ck := l.Nearest(pos)
 	if mode == cpu.FastForward {
@@ -159,11 +208,20 @@ func (l *Library) Seek(c *cpu.Core, pos uint64, mode cpu.Mode) (seekOps uint64, 
 	if err != nil {
 		return 0, err
 	}
-	if at := c.M.Retired(); at < pos {
-		seekOps = c.Run(pos-at, mode, nil, nil)
-		if seekOps < pos-at {
+	grow := mode == cpu.FunctionalWarming && ck.Ops >= l.last().Ops
+	for at := c.M.Retired(); at < pos; at = c.M.Retired() {
+		step := pos - at
+		if grow {
+			step = min(step, l.strideOps)
+		}
+		n := c.Run(step, mode, nil, nil)
+		seekOps += n
+		if n < step {
 			return seekOps, pgsserrors.Invalidf("checkpoint: program ended at %d before position %d",
 				c.M.Retired(), pos)
+		}
+		if grow && step == l.strideOps {
+			l.keep(Capture(c))
 		}
 	}
 	return seekOps, nil
@@ -172,7 +230,8 @@ func (l *Library) Seek(c *cpu.Core, pos uint64, mode cpu.Mode) (seekOps uint64, 
 // SampleAt seeks to pos with functional warming, runs warmup detailed ops
 // unmeasured and sample detailed ops measured, returning the sample IPC
 // and the cost split — one random-order live sample, as TurboSMARTS takes
-// them.
+// them. Past the last recorded checkpoint its seek warms from the tail
+// and extends it (Seek).
 func (l *Library) SampleAt(c *cpu.Core, pos, warmup, sample uint64) (ipc float64, seekOps uint64, err error) {
 	seekOps, err = l.Seek(c, pos, cpu.FunctionalWarming)
 	if err != nil {

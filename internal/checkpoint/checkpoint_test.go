@@ -1,15 +1,20 @@
 package checkpoint
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"pgss/internal/bbv"
 	"pgss/internal/cpu"
+	"pgss/internal/faultinject"
+	"pgss/internal/isa"
 	"pgss/internal/pgsserrors"
 	"pgss/internal/profile"
 	"pgss/internal/program"
@@ -198,6 +203,182 @@ func TestSeekExactPosition(t *testing.T) {
 	if !reflect.DeepEqual(arch[cpu.FastForward], arch[cpu.FunctionalWarming]) {
 		t.Error("fast-forward and warming seeks reached different architectural state")
 	}
+}
+
+// TestSeekTail: seeks past the last checkpoint of a library recorded to a
+// third of its program land, from two goroutines at once, exactly where
+// the same seeks through a library recorded to the end land. The warm
+// seeks leave a checkpoint at every stride multiple they pass, each equal
+// to the full recording's, so repeating a warm seek steps less than a
+// stride; and the library's length and saved bytes stay as recorded. The
+// second program halts on a stride multiple, where the full recording
+// ends with a checkpoint, and the tail must too.
+func TestSeekTail(t *testing.T) {
+	_, parser := newCore(t, "197.parser", 300_000)
+	for _, tc := range []struct {
+		name   string
+		prog   *program.Program
+		stride uint64
+	}{
+		{"197.parser", parser, 10_000},
+		{"halt-on-stride", haltOnStride(t, 1_000), 1_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			newCore := func() *cpu.Core {
+				c, err := cpu.NewCore(cpu.MustNewMachine(tc.prog), cpu.DefaultCoreConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}
+			rec := newCore()
+			full, err := Record(rec, tc.stride, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			end := rec.M.Retired()
+			short, err := Record(newCore(), tc.stride, end/3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			saved := func() []byte {
+				mem := faultinject.NewMemFS()
+				if err := short.Save(mem, "lib.ckpt"); err != nil {
+					t.Fatal(err)
+				}
+				b, err := mem.ReadFile("lib.ckpt")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			n, before := short.Len(), saved()
+			last := short.last().Ops
+
+			// Shuffled positions past the short library's last checkpoint,
+			// every fourth on a stride multiple and the program's end
+			// among them, alternately warm and fast-forward.
+			type seek struct {
+				pos  uint64
+				mode cpu.Mode
+			}
+			rng := rand.New(rand.NewSource(1))
+			seeks := []seek{{end, cpu.FunctionalWarming}}
+			for i := 1; i < 24; i++ {
+				pos := last + 1 + uint64(rng.Int63n(int64(end-last)))
+				if i%4 == 0 {
+					pos -= pos % tc.stride
+				}
+				seeks = append(seeks, seek{pos, []cpu.Mode{cpu.FunctionalWarming, cpu.FastForward}[i%2]})
+			}
+			rng.Shuffle(len(seeks), func(i, j int) { seeks[i], seeks[j] = seeks[j], seeks[i] })
+
+			// Each goroutine seeks its core through the short library and
+			// a reference core through the full one, in the same order, so
+			// the two hold the same caches and predictor before every
+			// fast-forward seek too.
+			var wg sync.WaitGroup
+			for g := range 2 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					c, ref := newCore(), newCore()
+					for i := g; i < len(seeks); i += 2 {
+						sk := seeks[i]
+						if _, err := short.Seek(c, sk.pos, sk.mode); err != nil {
+							t.Errorf("short library seek to %d: %v", sk.pos, err)
+							return
+						}
+						if _, err := full.Seek(ref, sk.pos, sk.mode); err != nil {
+							t.Errorf("full library seek to %d: %v", sk.pos, err)
+							return
+						}
+						if !reflect.DeepEqual(Capture(c), Capture(ref)) {
+							t.Errorf("mode %v seek to %d: state differs from the full library's seek", sk.mode, sk.pos)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+
+			c := newCore()
+			for _, sk := range seeks {
+				if sk.mode != cpu.FunctionalWarming {
+					continue
+				}
+				for k := last/tc.stride + 1; k*tc.stride <= sk.pos; k++ {
+					pos := k * tc.stride
+					ck := short.Nearest(pos)
+					if ck.Ops != pos {
+						t.Fatalf("no checkpoint at %d below the warm seek to %d (nearest %d)", pos, sk.pos, ck.Ops)
+					}
+					if !reflect.DeepEqual(ck, full.Nearest(pos)) {
+						t.Errorf("tail checkpoint at %d differs from the full recording's", pos)
+					}
+				}
+				steps, err := short.Seek(c, sk.pos, cpu.FunctionalWarming)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if steps >= tc.stride {
+					t.Errorf("repeated warm seek to %d stepped %d ops, a stride or more", sk.pos, steps)
+				}
+			}
+			if end%tc.stride == 0 && !short.Nearest(end).Machine.Halted {
+				t.Errorf("the tail holds no halted checkpoint at the program's end, %d", end)
+			}
+			if short.Len() != n || !bytes.Equal(saved(), before) {
+				t.Errorf("seeks changed the library: %d checkpoints (was %d), saved bytes equal: %v",
+					short.Len(), n, bytes.Equal(saved(), before))
+			}
+		})
+	}
+}
+
+// haltOnStride builds a program that stores to its data image in a loop
+// and halts after a multiple of stride ops.
+func haltOnStride(t *testing.T, stride uint64) *program.Program {
+	t.Helper()
+	build := func(pad uint64) *program.Program {
+		b := program.NewBuilder("halt-on-stride")
+		b.AllocData(4096)
+		b.LoadImm(isa.T1, 0)
+		b.LoadImm(isa.T2, 4096*8)
+		b.LoadImm(isa.T3, 10_000)
+		b.Label("loop")
+		b.Op(isa.ADD, isa.T4, isa.GP, isa.T1)
+		b.Load(isa.T5, isa.T4, 0)
+		b.OpI(isa.ADDI, isa.T5, isa.T5, 1)
+		b.Store(isa.T5, isa.T4, 0)
+		b.OpI(isa.ADDI, isa.T1, isa.T1, 17*8)
+		b.Branch(isa.BLT, isa.T1, isa.T2, "next")
+		b.Op(isa.SUB, isa.T1, isa.T1, isa.T2)
+		b.Label("next")
+		b.OpI(isa.ADDI, isa.T3, isa.T3, -1)
+		b.Branch(isa.BNE, isa.T3, isa.Zero, "loop")
+		for range pad {
+			b.Emit(isa.Inst{Op: isa.NOP})
+		}
+		b.Halt()
+		prog, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	run := func(prog *program.Program) (uint64, error) {
+		c, err := cpu.NewCore(cpu.MustNewMachine(prog), cpu.DefaultCoreConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Run(1<<30, cpu.FastForward, nil, nil), c.M.Err()
+	}
+	ops, _ := run(build(0))
+	prog := build((stride - ops%stride) % stride)
+	if ops, err := run(prog); ops%stride != 0 || err != nil {
+		t.Fatalf("program halts after %d ops (%v), not cleanly on a multiple of %d", ops, err, stride)
+	}
+	return prog
 }
 
 // TestRandomOrderSamplesMatchProfile: live random-order samples through

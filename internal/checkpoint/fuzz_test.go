@@ -18,7 +18,11 @@ import (
 // the live-point guarantee: restoring the nearest checkpoint and warming
 // forward to a position is indistinguishable from having simulated to that
 // position continuously. Both cores then run a short detailed sample and
-// must retire the identical instruction stream with identical timing.
+// must retire the identical instruction stream with identical timing. A
+// library recorded to a third of the run is sought too, first to a second
+// position derived from the input and then to the fuzzed one, so its warm
+// seeks past the last recorded checkpoint extend its tail and may start
+// from it.
 func FuzzCheckpointResume(f *testing.F) {
 	const (
 		totalOps = 60_000
@@ -61,31 +65,47 @@ func FuzzCheckpointResume(f *testing.F) {
 	f.Fuzz(func(t *testing.T, posRaw uint32) {
 		// Leave room for the detailed sample after the seek position.
 		pos := uint64(posRaw) % (end - sample)
-
-		seeked := newCore(t)
-		warmOps, err := lib.Seek(seeked, pos, cpu.FunctionalWarming)
+		short, err := Record(newCore(t), stride, end/3)
 		if err != nil {
-			t.Fatalf("Seek(%d): %v", pos, err)
+			t.Fatal(err)
 		}
-		if got := seeked.M.Retired(); got != pos {
-			t.Fatalf("Seek(%d) landed at %d", pos, got)
-		}
-		if warmOps >= stride+lib.StrideOps() {
-			t.Fatalf("Seek(%d) warmed %d ops, more than a full stride past a checkpoint", pos, warmOps)
-		}
-
-		cont := newCore(t)
-		var r cpu.Retired
-		for cont.M.Retired() < pos {
-			if !cont.StepWarm(&r) {
-				t.Fatalf("program ended at %d before position %d", cont.M.Retired(), pos)
+		seeked := newCore(t)
+		for _, s := range []struct {
+			lib *Library
+			pos uint64
+		}{
+			{lib, pos},
+			{short, uint64(posRaw*0x9E3779B9) % (end - sample)},
+			{short, pos},
+		} {
+			// A seek that starts from a checkpoint within a stride steps
+			// less than two strides; one past the tail's end warms on to
+			// its position.
+			bounded := s.pos-s.lib.Nearest(s.pos).Ops < stride
+			warmOps, err := s.lib.Seek(seeked, s.pos, cpu.FunctionalWarming)
+			if err != nil {
+				t.Fatalf("Seek(%d): %v", s.pos, err)
 			}
-		}
+			if got := seeked.M.Retired(); got != s.pos {
+				t.Fatalf("Seek(%d) landed at %d", s.pos, got)
+			}
+			if bounded && warmOps >= stride+s.lib.StrideOps() {
+				t.Fatalf("Seek(%d) warmed %d ops, more than a full stride past a checkpoint", s.pos, warmOps)
+			}
 
-		// Both cores now claim to be "the simulator at op pos". Run the same
-		// detailed sample on each; the retire streams and timing must match
-		// bit for bit.
-		runSample(t, seeked, cont, sample)
+			cont := newCore(t)
+			var r cpu.Retired
+			for cont.M.Retired() < s.pos {
+				if !cont.StepWarm(&r) {
+					t.Fatalf("program ended at %d before position %d", cont.M.Retired(), s.pos)
+				}
+			}
+
+			// Both cores now claim to be "the simulator at op pos". Run the
+			// same detailed sample on each; the retire streams and timing
+			// must match bit for bit.
+			runSample(t, seeked, cont, sample)
+		}
 	})
 }
 

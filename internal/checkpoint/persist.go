@@ -150,7 +150,9 @@ func (ck *Checkpoint) scalars(c *scalarCodec) {
 // Save writes the library to path on fsys (nil = the real filesystem) in
 // the CRC-framed binary format. The write is crash-consistent (temp file +
 // fsync + rename via faultinject.WriteAtomic): a crash leaves the previous
-// library intact, never a torn one.
+// library intact, never a torn one. It writes the recorded checkpoints
+// only, never the tail that seeks added (Seek), so seeking a library
+// leaves its bytes unchanged.
 func (l *Library) Save(fsys faultinject.FS, path string) error {
 	err := faultinject.WriteAtomic(fsys, path, 0o644, func(w io.Writer) error {
 		bw, err := binenc.NewWriter(w, libraryMagic, libraryVersion)

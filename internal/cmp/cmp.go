@@ -100,9 +100,6 @@ func New(progs []*program.Program, hash *bbv.Hash, cfg Config) (*CMP, error) {
 	return c, nil
 }
 
-// Cores returns the per-core states.
-func (c *CMP) Cores() []*CoreState { return c.cores }
-
 // SharedL2 returns the shared cache (for stats inspection).
 func (c *CMP) SharedL2() *cache.Cache { return c.l2 }
 

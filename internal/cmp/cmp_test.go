@@ -118,7 +118,7 @@ func TestClocksStayInterleaved(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Both cores ran to completion.
-	for i, cs := range c.Cores() {
+	for i, cs := range c.cores {
 		if !cs.Done() || cs.Ops() < ops {
 			t.Errorf("core %d: done=%v ops=%d", i, cs.Done(), cs.Ops())
 		}

@@ -8,10 +8,11 @@
 //     consecutive fast-forward windows, which shard workers compute
 //     concurrently, each claiming the next chunk in program order. For a
 //     recorded profile this sums the stored raw vectors; for a live
-//     simulator it restores the nearest checkpoint and fast-forwards
-//     architecture-only, warming no cache or predictor, since BBVs need
-//     only the retire stream (bit-identical restore makes the per-window
-//     retire streams — and hence the BBVs — independent of the chunks).
+//     simulator it fast-forwards architecture-only, from where the shard's
+//     core stands or from the nearest checkpoint, warming no cache or
+//     predictor, since BBVs need only the retire stream (bit-identical
+//     restore makes the per-window retire streams — and hence the BBVs —
+//     independent of the chunks).
 //
 //  2. Decision walk. A single goroutine drives the shared core.Controller
 //     over the windows in program order, starting on each chunk as soon as

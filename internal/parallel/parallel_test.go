@@ -229,55 +229,105 @@ func checkLiveLayouts(t *testing.T, src *LiveSource, cfg core.Config, layouts []
 
 // TestLiveLibraryShorterThanProgram: a library recorded to a third of its
 // program, as the suite's libraries stop at the build target while their
-// programs run on, must give the run of a library that covers the program.
-// Past its last checkpoint every shard fast-forwards from that checkpoint
-// and every sample warms forward from it.
+// programs run on, must give the run of a library that covers the program,
+// on the BBV channel and with the MAV channel on. Past its last checkpoint
+// a shard core continues from the end of its previous chunk, and a shard
+// that cannot seeks from the nearest checkpoint; the first sample there
+// warms forward from the last checkpoint and leaves one at every stride it
+// passes, where later samples and shard seeks start. The library serves
+// every layout in turn, so later runs start from the tail earlier runs
+// left.
 func TestLiveLibraryShorterThanProgram(t *testing.T) {
 	const stride = 20_000
-	full := liveSource(t, "197.parser", 600_000, stride, nil)
-	rec, err := cpu.NewCore(cpu.MustNewMachine(full.prog), cpu.DefaultCoreConfig())
-	if err != nil {
-		t.Fatal(err)
+	for _, mavHash := range []*bbv.Hash{nil, bbv.MustNewMAVHash(bbv.DefaultMAVBits, 42)} {
+		full := liveSource(t, "197.parser", 600_000, stride, mavHash)
+		rec, err := cpu.NewCore(cpu.MustNewMachine(full.prog), cpu.DefaultCoreConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lib, err := checkpoint.Record(rec, stride, full.total/3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		short, err := NewLiveSource(lib, full.hash, mavHash, full.prog, full.cc, full.total, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := lib.Nearest(full.total).Ops
+		if last > full.total/3 {
+			t.Fatalf("short library's last checkpoint at %d, past a third of %d ops", last, full.total)
+		}
+		for _, ff := range liveFFOps {
+			cfg := testConfig()
+			cfg.FFOps = ff
+			cfg.SpreadOps = ff
+			cfg.Trace = true
+			if mavHash != nil {
+				cfg.Channel = bbv.ChannelBoth
+			}
+			for _, opts := range []Options{
+				{Shards: 1, SampleWorkers: 1},
+				{Shards: 2, SampleWorkers: 2},
+				{Shards: 3, SampleWorkers: 2},
+			} {
+				want, wantSt, err := Run(context.Background(), full, cfg, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.ContainsFunc(wantSt.SampleTrace, func(e core.SampleEvent) bool { return e.Pos > last+ff }) {
+					t.Fatalf("FFOps %d: no sample past the short library's last checkpoint — the test would be vacuous", ff)
+				}
+				got, gotSt, err := Run(context.Background(), short, cfg, opts)
+				if err != nil {
+					t.Fatalf("FFOps %d, %+v, short library: %v", ff, opts, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%v, FFOps %d, %+v: Result diverged:\n got %+v\nwant %+v", cfg.Channel, ff, opts, got, want)
+				}
+				if !reflect.DeepEqual(gotSt, wantSt) {
+					t.Errorf("%v, FFOps %d, %+v: Stats diverged:\n got %+v\nwant %+v", cfg.Channel, ff, opts, gotSt, wantSt)
+				}
+			}
+		}
 	}
-	lib, err := checkpoint.Record(rec, stride, full.total/3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	short, err := NewLiveSource(lib, full.hash, nil, full.prog, full.cc, full.total, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := lib.Nearest(full.total).Ops
-	if last > full.total/3 {
-		t.Fatalf("short library's last checkpoint at %d, past a third of %d ops", last, full.total)
-	}
-	for _, ff := range liveFFOps {
-		cfg := testConfig()
-		cfg.FFOps = ff
-		cfg.SpreadOps = ff
-		cfg.Trace = true
-		for _, opts := range []Options{
-			{Shards: 1, SampleWorkers: 1},
-			{Shards: 2, SampleWorkers: 2},
-			{Shards: 3, SampleWorkers: 2},
-		} {
-			want, wantSt, err := Run(context.Background(), full, cfg, opts)
-			if err != nil {
-				t.Fatal(err)
+}
+
+// TestLiveShardContinues: one shard core that computes consecutive chunks
+// sits exactly at each next chunk's start, so it continues from there,
+// with no steps and no restore, and its windows equal those of a fresh
+// source per chunk, whose new core seeks to the start.
+func TestLiveShardContinues(t *testing.T) {
+	const ffOps = 7_000 // chunks of 56,000 ops, between the 20,000-op checkpoints
+	src := liveSource(t, "197.parser", 600_000, 20_000, bbv.MustNewMAVHash(bbv.DefaultMAVBits, 42))
+	n := numWindows(src.total, ffOps)
+	for first := 0; first < n; first += chunkWindows {
+		start := uint64(first) * ffOps
+		// A restore would reset the machine's wild-access counter, which
+		// no window reads.
+		const sentinel = 1 << 40
+		if first > 0 {
+			if len(src.cores) != 1 || src.cores[0].M.Retired() != start {
+				t.Fatalf("chunk %d: want one idle core at %d", first/chunkWindows, start)
 			}
-			if !slices.ContainsFunc(wantSt.SampleTrace, func(e core.SampleEvent) bool { return e.Pos > last+ff }) {
-				t.Fatalf("FFOps %d: no sample past the short library's last checkpoint — the test would be vacuous", ff)
-			}
-			got, gotSt, err := Run(context.Background(), short, cfg, opts)
-			if err != nil {
-				t.Fatalf("FFOps %d, %+v, short library: %v", ff, opts, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("FFOps %d, %+v: Result diverged:\n got %+v\nwant %+v", ff, opts, got, want)
-			}
-			if !reflect.DeepEqual(gotSt, wantSt) {
-				t.Errorf("FFOps %d, %+v: Stats diverged:\n got %+v\nwant %+v", ff, opts, gotSt, wantSt)
-			}
+			src.cores[0].M.WildAccesses = sentinel
+		}
+		got := make([]Window, min(chunkWindows, n-first))
+		if err := src.Windows(context.Background(), ffOps, first, got); err != nil {
+			t.Fatal(err)
+		}
+		if first > 0 && src.cores[0].M.WildAccesses < sentinel {
+			t.Errorf("chunk %d: the idle core was restored", first/chunkWindows)
+		}
+		fresh, err := NewLiveSource(src.lib, src.hash, src.mavHash, src.prog, src.cc, src.total, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]Window, len(got))
+		if err := fresh.Windows(context.Background(), ffOps, first, want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("chunk %d: a continuing core's windows differ from a fresh source's", first/chunkWindows)
 		}
 	}
 }

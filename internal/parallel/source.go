@@ -120,22 +120,26 @@ func (s profileSampler) Sample(pos, warm, sample uint64) (float64, error) {
 	return s.p.IPCWindow(pos+warm, sample)
 }
 
-// LiveSource drives cycle-level simulators through a checkpoint library:
-// every shard chunk and every detailed sample restores a core of the
-// source's program (a copy of its data image and its own caches and
-// predictors) from the nearest checkpoint. Each sample worker owns a core,
-// and shard cores wait on an idle list between chunks. Shards only need
-// the retire stream, so they seek and step architecture-only
-// (cpu.FastForward): the seek restores only the checkpoint's machine, and
-// the shard core's caches and predictors stay as they were, unread; every
-// detailed sample instead restores a whole warmed checkpoint and
-// warm-forwards to its position, which takes no steps when the library's
-// stride divides the FF period (the suite's libraries checkpoint every
-// period) and the position is at or below its last checkpoint.
-// Restoring is bit-identical to continuous simulation, and window BBVs
-// drop the tracker's pending ops at every boundary, so the windows — and
-// therefore the whole run — are invariant to the shard layout: the engine
-// returns identical results for any Shards/SampleWorkers setting.
+// LiveSource drives cycle-level simulators through a checkpoint library.
+// Each sample worker owns a core of the source's program (a copy of its
+// data image and its own caches and predictors), and shard cores wait on
+// an idle list between chunks. Shards only need the retire stream, so they
+// step architecture-only (cpu.FastForward) and leave a core's caches and
+// predictors as they were, unread. A shard core that sits at or below its
+// chunk's start, and at or past the checkpoint nearest it, fast-forwards
+// from where it is; any other seeks, restoring only that checkpoint's
+// machine. Every detailed sample restores a whole warmed checkpoint and
+// warm-forwards to its position: no steps when the library's stride
+// divides the FF period (the suite's libraries checkpoint every period)
+// and the position is at or below its last checkpoint. Past that, the
+// library keeps a checkpoint at every stride a sample's seek warms through
+// (checkpoint.Library.Seek), so later samples, and later shard seeks,
+// start from the nearest one. Restoring is bit-identical to continuous
+// simulation, a core reaches the same architectural state however it got
+// there, and window BBVs drop the tracker's pending ops at every boundary,
+// so the windows — and therefore the whole run — are invariant to the
+// shard layout: the engine returns identical results for any
+// Shards/SampleWorkers setting.
 //
 // The engine with Shards=1 is the reference for the engine with Shards=N.
 // Replay of the program's profile carries pending ops across windows and
@@ -196,20 +200,27 @@ func (s *LiveSource) TotalOps() uint64 { return s.total }
 func (s *LiveSource) TrueIPC() float64 { return s.trueIPC }
 
 // Windows implements Source for one chunk. An idle shard core (or a new
-// one) seeks to the chunk's start — a restore of the checkpoint's machine,
-// which replaces the core's architectural state, then fast-forward — and
-// fast-forwards through the chunk's windows with the BBV and MAV trackers
-// attached. Both vectors depend only on the architectural retire stream,
-// so no cache or predictor is restored or warmed, and the core steps
-// through the interpreter's record-free loop. The core goes back on the
-// idle list when the chunk is done; a call that fails or panics drops it.
+// one) reaches the chunk's start: it fast-forwards from where it is when
+// no checkpoint lies between, and otherwise seeks there, restoring the
+// checkpoint's machine, which replaces the core's architectural state,
+// then fast-forwarding. It then fast-forwards through the chunk's windows
+// with the BBV and MAV trackers attached. Both vectors depend only on the
+// architectural retire stream, so no cache or predictor is restored or
+// warmed, and the core steps through the interpreter's record-free loop.
+// The core goes back on the idle list when the chunk is done; a call that
+// fails or panics drops it.
 func (s *LiveSource) Windows(ctx context.Context, ffOps uint64, first int, out []Window) error {
 	c, err := s.shardCore()
 	if err != nil {
 		return fmt.Errorf("parallel: shard core: %w", err)
 	}
 	start := uint64(first) * ffOps
-	if _, err := s.lib.Seek(c, start, cpu.FastForward); err != nil {
+	if at := c.M.Retired(); at > start || at < s.lib.Nearest(start).Ops {
+		_, err = s.lib.Seek(c, start, cpu.FastForward)
+	} else if c.Run(start-at, cpu.FastForward, nil, nil) < start-at {
+		err = pgsserrors.Invalidf("program ended at %d before position %d", c.M.Retired(), start)
+	}
+	if err != nil {
 		return fmt.Errorf("parallel: shard at window %d: %w", first, err)
 	}
 	tracker := bbv.NewTracker(s.hash)

@@ -116,18 +116,6 @@ func (b *Builder) EmitTo(in isa.Inst, label string) int {
 	return idx
 }
 
-// Pad emits NOPs until the next instruction lands at an index that is a
-// multiple of align (in instruction slots). Workloads use this to place
-// kernels at distinct address regions so BBV hash bits separate them.
-func (b *Builder) Pad(align int) {
-	if align <= 1 {
-		return
-	}
-	for len(b.code)%align != 0 {
-		b.Emit(isa.Inst{Op: isa.NOP})
-	}
-}
-
 // PadToSlot emits NOPs until the next instruction lands at exactly the
 // given slot index. It panics if that slot is already behind; callers plan
 // their layout in ascending order.

@@ -68,13 +68,9 @@ func TestBuilderEntryUndefined(t *testing.T) {
 	}
 }
 
-func TestPadAndPadToSlot(t *testing.T) {
+func TestPadToSlot(t *testing.T) {
 	b := NewBuilder("t")
 	b.Halt()
-	b.Pad(8)
-	if b.PC() != 8 {
-		t.Errorf("Pad(8) left PC at %d", b.PC())
-	}
 	b.PadToSlot(20)
 	if b.PC() != 20 {
 		t.Errorf("PadToSlot(20) left PC at %d", b.PC())

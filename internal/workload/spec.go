@@ -167,46 +167,3 @@ func (s *Spec) Build(totalOps uint64) (*program.Program, error) {
 
 	return b.Build()
 }
-
-// BuiltKernelInfo exposes per-kernel calibration data for tests.
-type BuiltKernelInfo struct {
-	Name         string
-	OpsPerIter   uint64
-	CallOverhead uint64
-}
-
-// CalibrationProgram builds a minimal program that calls kernel k of the
-// spec `iters` times, for calibrating/verifying opsPerIter in tests.
-// It returns the program and the kernel's declared constants.
-func (s *Spec) CalibrationProgram(k int, iters uint64) (*program.Program, BuiltKernelInfo, error) {
-	if k < 0 || k >= len(s.Kernels) {
-		return nil, BuiltKernelInfo{}, pgsserrors.Invalidf("workload %s: kernel %d out of range", s.Name, k)
-	}
-	rng := rand.New(rand.NewSource(s.Seed))
-	b := program.NewBuilder(s.Name + "_cal")
-	b.SetEntry("main")
-	b.Jump("main")
-	pages := pagePlan(rng, len(s.Kernels)+1) // +1 matches Build's init page
-	var bk built
-	for i, ks := range s.Kernels {
-		// Emit all kernels so addresses and data layout match the real
-		// build; only kernel k is invoked.
-		b.PadToSlot(pages[i] * slotsPerPage)
-		one, err := ks.emit(b, rng)
-		if err != nil {
-			return nil, BuiltKernelInfo{}, err
-		}
-		if i == k {
-			bk = one
-		}
-	}
-	b.Label("main")
-	b.LoadImm(isa.S0, int64(iters))
-	b.Call(bk.label)
-	b.Halt()
-	p, err := b.Build()
-	if err != nil {
-		return nil, BuiltKernelInfo{}, err
-	}
-	return p, BuiltKernelInfo{Name: bk.spec.Name, OpsPerIter: bk.opsPerIter, CallOverhead: bk.callOverhead}, nil
-}

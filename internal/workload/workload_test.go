@@ -9,7 +9,9 @@ import (
 
 	"pgss/internal/bbv"
 	"pgss/internal/cpu"
+	"pgss/internal/isa"
 	"pgss/internal/profile"
+	"pgss/internal/program"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -87,14 +89,8 @@ func TestKernelCalibration(t *testing.T) {
 	for _, name := range Names() {
 		spec, _ := Get(name)
 		for k := range spec.Kernels {
-			p1, info, err := spec.CalibrationProgram(k, 10)
-			if err != nil {
-				t.Fatalf("%s/%d: %v", name, k, err)
-			}
-			p2, _, err := spec.CalibrationProgram(k, 110)
-			if err != nil {
-				t.Fatalf("%s/%d: %v", name, k, err)
-			}
+			p1, bk := calibrationProgram(t, spec, k, 10)
+			p2, _ := calibrationProgram(t, spec, k, 110)
 			m1 := cpu.MustNewMachine(p1)
 			var r cpu.Retired
 			for m1.Step(&r) {
@@ -103,12 +99,45 @@ func TestKernelCalibration(t *testing.T) {
 			for m2.Step(&r) {
 			}
 			delta := m2.Retired() - m1.Retired()
-			if delta != 100*info.OpsPerIter {
+			if delta != 100*bk.opsPerIter {
 				t.Errorf("%s kernel %s: 100 iterations retired %d ops, want %d (opsPerIter=%d)",
-					name, info.Name, delta, 100*info.OpsPerIter, info.OpsPerIter)
+					name, bk.spec.Name, delta, 100*bk.opsPerIter, bk.opsPerIter)
 			}
 		}
 	}
+}
+
+// calibrationProgram builds a minimal program that calls kernel k of the
+// spec iters times, with every kernel emitted so that addresses and data
+// layout match the real build, and returns it with the kernel's declared
+// constants.
+func calibrationProgram(t *testing.T, s *Spec, k int, iters uint64) (*program.Program, built) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(s.Seed))
+	b := program.NewBuilder(s.Name + "_cal")
+	b.SetEntry("main")
+	b.Jump("main")
+	pages := pagePlan(rng, len(s.Kernels)+1) // +1 matches Build's init page
+	var bk built
+	for i, ks := range s.Kernels {
+		b.PadToSlot(pages[i] * slotsPerPage)
+		one, err := ks.emit(b, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == k {
+			bk = one
+		}
+	}
+	b.Label("main")
+	b.LoadImm(isa.S0, int64(iters))
+	b.Call(bk.label)
+	b.Halt()
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, bk
 }
 
 func TestScheduleAccuracy(t *testing.T) {
